@@ -97,6 +97,10 @@ def _solve_one(task: tuple[int, str, str, int, int]) -> dict:
         return {"index": index, "error": str(exc), "offset": exc.offset}
     except DeltaMinError as exc:
         return {"index": index, "error": str(exc), "offset": None}
+    return _solve_graph(index, g, exact_limit, seed)
+
+
+def _solve_graph(index: int, g: Graph, exact_limit: int, seed: int) -> dict:
     if g.vertex_count <= exact_limit:
         result = solve_exact(g)
     else:
@@ -220,7 +224,7 @@ def cmd_analyze(cfg: RunConfig, out: Optional[TextIO] = None) -> int:
             ) + "\n")
             status = 1
             continue
-        rec = _solve_one((index, payload, cfg.format, cfg.exact_limit, cfg.seed))
+        rec = _solve_graph(index, g, cfg.exact_limit, cfg.seed)
         g_colours = [Colour.from_code(c) for c in rec["colours"]]
         witness = EdgeColouring(g, g_colours)
         report = verify_theorem1(witness)

@@ -4,6 +4,19 @@ The optimum s(G) is the smallest number of edges that must receive the
 overflow colour delta in a proper 4-edge-colouring.  Equivalently it is the
 smallest matching M such that G - M is 3-edge-colourable, which is how the
 exact solver searches: matchings in increasing size, first hit wins.
+
+Witness contract of the exact solver: for each size k the matchings come in
+lexicographic order of their sorted edge ids, and the first one whose
+complement is 3-edge-colourable wins.  That complement is coloured by a
+backtrack that branches on the lowest-index uncoloured edge with the fewest
+free colours and tries alpha < beta < gamma.  The backtrack also gives every
+edge left with a single free colour that colour before branching again;
+such forcing reaches one fixpoint (or one failure) in any order, so it
+prunes work without moving a branch point or changing the first colouring
+found.  On a cubic graph the size k=1 is skipped once k=0 has failed: by the
+parity lemma (Steffen, Measurements of edge-uncolorability of cubic graphs,
+J. Graph Theory 2004) a 3-edge-colouring of G - e leaves both ends of e
+missing the same colour, so G would be 3-edge-colourable itself.
 """
 
 from __future__ import annotations
@@ -58,66 +71,103 @@ class TwoFactor:
 # ---------------------------------------------------------------------------
 # 3-edge-colouring search
 
-_BIT_OF = {Colour.ALPHA: 1, Colour.BETA: 2, Colour.GAMMA: 4}
 _COLOUR_OF_BIT = {1: Colour.ALPHA, 2: Colour.BETA, 4: Colour.GAMMA}
+_EXCLUDED = 8  # marks a deleted edge; never a colour bit
 
 
-def _three_colour(g: Graph, excluded: frozenset[int]) -> Optional[dict[int, Colour]]:
+def _three_edge_colouring(
+    g: Graph, excluded: frozenset[int] = frozenset()
+) -> Optional[list[Optional[Colour]]]:
     """Proper 3-edge-colouring of g minus the excluded edges, or None.
 
-    Backtracking on edges, most-constrained edge first, colours tried in
-    canonical order so results are deterministic.
+    Positional over g's edges; excluded edges read None.  Iterative, with
+    an explicit stack of branch points and a trail of coloured edges, so no
+    recursion limit bounds the graph size.  Forcing, branch rule and colour
+    order are those of the witness contract in the module docstring.
     """
-    active = [e for e in range(g.edge_count) if e not in excluded]
-    used = [0] * g.vertex_count  # bitmask of colours present at each vertex
-    assigned: dict[int, int] = {}
+    ends = g.edges
+    around: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    bit_of = [0] * g.edge_count  # colour bit per edge, 0 while uncoloured
+    for e, (u, v) in enumerate(ends):
+        if e in excluded:
+            bit_of[e] = _EXCLUDED
+        else:
+            around[u].append(e)
+            around[v].append(e)
+    used = [0] * g.vertex_count  # bitmask of the colours present at each vertex
+    trail: list[int] = []  # coloured edges, in colouring order
 
-    def choose() -> Optional[tuple[int, int]]:
-        best = None
-        best_count = 4
-        for e in active:
-            if e in assigned:
+    def colour(e: int, bit: int) -> None:
+        bit_of[e] = bit
+        u, v = ends[e]
+        used[u] |= bit
+        used[v] |= bit
+        trail.append(e)
+
+    def propagate(e: int) -> bool:
+        todo = [e]
+        while todo:
+            for w in ends[todo.pop()]:
+                for f in around[w]:
+                    if bit_of[f]:
+                        continue
+                    x, y = ends[f]
+                    free = 7 & ~(used[x] | used[y])
+                    if not free:
+                        return False
+                    if not free & (free - 1):
+                        colour(f, free)
+                        todo.append(f)
+        return True
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            e = trail.pop()
+            bit = bit_of[e]
+            bit_of[e] = 0
+            u, v = ends[e]
+            used[u] &= ~bit
+            used[v] &= ~bit
+
+    def branch_edge() -> Optional[int]:
+        # at a fixpoint an uncoloured edge has two free colours exactly
+        # when one of its ends is coloured, and three otherwise
+        fresh = None
+        for e, (u, v) in enumerate(ends):
+            if not bit_of[e]:
+                if used[u] | used[v]:
+                    return e
+                if fresh is None:
+                    fresh = e
+        return fresh
+
+    stack: list[list[int]] = []  # branch points: [edge, trail length, colours left]
+    while True:
+        e = branch_edge()
+        if e is None:
+            return [_COLOUR_OF_BIT.get(bit) for bit in bit_of]
+        u, v = ends[e]
+        stack.append([e, len(trail), 7 & ~(used[u] | used[v])])
+        while stack:
+            point = stack[-1]
+            e, mark, left = point
+            undo(mark)
+            if not left:
+                stack.pop()
                 continue
-            u, v = g.edges[e]
-            avail = 7 & ~(used[u] | used[v])
-            count = bin(avail).count("1")
-            if count == 0:
-                return (e, 0)
-            if count < best_count:
-                best, best_count = (e, avail), count
-        return best
-
-    def search() -> bool:
-        pick = choose()
-        if pick is None:
-            return True
-        e, avail = pick
-        if avail == 0:
-            return False
-        u, v = g.edges[e]
-        for bit in (1, 2, 4):
-            if avail & bit:
-                assigned[e] = bit
-                used[u] |= bit
-                used[v] |= bit
-                if search():
-                    return True
-                del assigned[e]
-                used[u] &= ~bit
-                used[v] &= ~bit
-        return False
-
-    if search():
-        return {e: _COLOUR_OF_BIT[b] for e, b in assigned.items()}
-    return None
+            bit = left & -left
+            point[2] = left ^ bit
+            colour(e, bit)
+            if propagate(e):
+                break
+        else:
+            return None
 
 
 def is_3_edge_colourable(g: Graph) -> Optional[EdgeColouring]:
     """A proper colouring using only alpha, beta, gamma, if one exists."""
-    partial = _three_colour(g, frozenset())
-    if partial is None:
-        return None
-    return EdgeColouring(g, [partial[e] for e in range(g.edge_count)])
+    colours = _three_edge_colouring(g)
+    return None if colours is None else EdgeColouring(g, colours)
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +206,18 @@ def _solve_exact_connected(g: Graph) -> SolveResult:
         for e, (u, v) in enumerate(g.edges)
         if g.degree(u) == 3 or g.degree(v) == 3
     ]
+    # parity lemma: in a 3-edge-colouring of G - e both ends of e miss the
+    # same colour, which e could then take; so a cubic G that fails k=0
+    # fails k=1 too
+    cubic = g.is_cubic()
     for k in range(len(candidates) + 1):
+        if k == 1 and cubic:
+            continue
         for matching in _matchings_of_size(g, candidates, k):
-            partial = _three_colour(g, matching)
+            partial = _three_edge_colouring(g, matching)
             if partial is None:
                 continue
-            colours = [
-                Colour.DELTA if e in matching else partial[e]
-                for e in range(g.edge_count)
-            ]
+            colours = [Colour.DELTA if c is None else c for c in partial]
             return SolveResult(k, EdgeColouring(g, colours), Method.EXACT)
     raise AssertionError("unreachable: deleting a maximal matching leaves a 3-colourable graph")
 
@@ -174,7 +227,14 @@ def solve_exact(g: Graph) -> SolveResult:
 
     Works per connected component; the optimum is the sum of the components'
     optima.  First witness in deterministic search order wins, so repeated
-    calls return identical colourings.
+    calls return identical colourings: the delta edges are the first
+    matching, in lexicographic order within each size, whose complement is
+    3-edge-colourable, and the rest is coloured by a most-constrained-edge
+    backtrack (lowest edge id on ties, alpha < beta < gamma).  Forcing edges
+    with one free colour does not change that first colouring, since the
+    forcing fixpoint does not depend on its order.  Cubic components skip
+    the size-one matchings after size zero fails, by the parity lemma
+    (Steffen, J. Graph Theory 2004): s(G) is never 1 on a cubic graph.
     """
     comps = g.components()
     if len(comps) <= 1:
@@ -196,11 +256,13 @@ def resistance_exact(g: Graph) -> int:
 
     Deliberately unconstrained (plain subsets, no matching requirement, no
     candidate pruning) so it can serve as an independent cross-check of
-    solve_exact; the two agree on every graph of maximum degree three.
+    solve_exact; the two agree on every graph of maximum degree three.  It
+    also keeps the k=1 level on cubic graphs, which solve_exact skips by the
+    parity lemma, so that the cross-check keeps testing that skip.
     """
     for k in range(g.edge_count + 1):
         for subset in combinations(range(g.edge_count), k):
-            if _three_colour(g, frozenset(subset)) is not None:
+            if _three_edge_colouring(g, frozenset(subset)) is not None:
                 return k
     raise AssertionError("unreachable: the empty graph is 3-edge-colourable")
 

@@ -77,6 +77,19 @@ def test_solve_edge_list_input(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["s"] == 2
 
 
+def test_solve_long_cycle_after_petersen(tmp_path, capsys, monkeypatch):
+    # a 3000-edge search must not hit the recursion limit and lose the batch
+    text = PETERSEN_G6 + "\n" + emit_graph6(make_named("cycle", 3000)) + "\n"
+    path = write(tmp_path, "in.g6", text)
+    code, out, _ = run_main(["solve", path, "--exact-limit", "5000"], capsys=capsys)
+    assert code == 0
+    recs = [json.loads(ln) for ln in out.splitlines()]
+    assert [(r["index"], r["n"], r["s"], r["method"]) for r in recs] == [
+        (0, 10, 2, "Exact"),
+        (1, 3000, 0, "Exact"),
+    ]
+
+
 def test_solve_csv(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "in.g6", "C~\nC" + chr(127) + "\n" + PETERSEN_G6 + "\n")
     code, out, _ = run_main(["solve", path, "--out", "csv"], capsys=capsys)

@@ -1,10 +1,13 @@
 """Exact solver, resistance, 2-factors, and the heuristic.
 
 The exact solver is checked against a test-local brute force over all 4^m
-colourings on small graphs, so the two never share code paths.
+colourings on small graphs, so the two never share code paths.  Its
+3-edge-colouring search is checked against a frozen copy of the earlier
+recursive backtrack, witness for witness.
 """
 
 import itertools
+from typing import Optional
 
 import pytest
 
@@ -25,6 +28,7 @@ from deltamin import (
     resistance_exact,
     solve_exact,
 )
+from deltamin.solver import _matchings_of_size, _three_edge_colouring
 
 A, B, G, D = Colour.ALPHA, Colour.BETA, Colour.GAMMA, Colour.DELTA
 
@@ -69,6 +73,137 @@ def brute_force_resistance(g: Graph) -> int:
                 if ok:
                     return k
     raise AssertionError("unreachable")
+
+
+def reference_three_colour(g: Graph, excluded: frozenset) -> Optional[dict]:
+    """Frozen copy of the earlier recursive 3-edge-colouring backtrack; the
+    test oracle for the search order, not a second path in the package.
+
+    Backtracking on edges, most-constrained edge first (lowest id on ties),
+    colours tried in the order alpha, beta, gamma.
+    """
+    active = [e for e in range(g.edge_count) if e not in excluded]
+    used = [0] * g.vertex_count
+    assigned: dict[int, int] = {}
+
+    def choose():
+        best = None
+        best_count = 4
+        for e in active:
+            if e in assigned:
+                continue
+            u, v = g.edges[e]
+            avail = 7 & ~(used[u] | used[v])
+            count = bin(avail).count("1")
+            if count == 0:
+                return (e, 0)
+            if count < best_count:
+                best, best_count = (e, avail), count
+        return best
+
+    def search() -> bool:
+        pick = choose()
+        if pick is None:
+            return True
+        e, avail = pick
+        if avail == 0:
+            return False
+        u, v = g.edges[e]
+        for bit in (1, 2, 4):
+            if avail & bit:
+                assigned[e] = bit
+                used[u] |= bit
+                used[v] |= bit
+                if search():
+                    return True
+                del assigned[e]
+                used[u] &= ~bit
+                used[v] &= ~bit
+        return False
+
+    if search():
+        return {e: {1: A, 2: B, 4: G}[b] for e, b in assigned.items()}
+    return None
+
+
+def reference_search(g: Graph, excluded: frozenset = frozenset()) -> Optional[list]:
+    """The reference oracle in the search's output shape."""
+    partial = reference_three_colour(g, excluded)
+    if partial is None:
+        return None
+    return [partial.get(e) for e in range(g.edge_count)]
+
+
+def reference_solve(g: Graph) -> tuple:
+    """Connected-graph exact solve on the reference oracle, with no parity
+    skip: (s, colours) of the first matching whose complement colours."""
+    candidates = [
+        e for e, (u, v) in enumerate(g.edges) if g.degree(u) == 3 or g.degree(v) == 3
+    ]
+    for k in range(len(candidates) + 1):
+        for matching in _matchings_of_size(g, candidates, k):
+            partial = reference_three_colour(g, matching)
+            if partial is not None:
+                return k, tuple(partial.get(e, D) for e in range(g.edge_count))
+    raise AssertionError("unreachable")
+
+
+def random_corpus() -> list:
+    return [random_subcubic(4 + i % 9, 7000 + i) for i in range(200)]
+
+
+# ---------------------------------------------------------------------------
+# 3-edge-colouring search against the reference
+
+
+def test_search_matches_reference_on_cubic_deletions(cubic_corpus):
+    for n in (4, 6, 8, 10):
+        for g in cubic_corpus[n]:
+            for size in (0, 1, 2):
+                for gone in itertools.combinations(range(g.edge_count), size):
+                    excluded = frozenset(gone)
+                    assert _three_edge_colouring(g, excluded) == reference_search(g, excluded)
+
+
+def test_search_matches_reference_on_random_subcubic():
+    for g in random_corpus():
+        assert _three_edge_colouring(g) == reference_search(g)
+
+
+def test_solve_exact_witness_matches_reference(cubic_corpus):
+    # the search and the cubic k=1 skip together leave every witness as the
+    # reference search order finds it
+    graphs = [g for n in (4, 6, 8, 10) for g in cubic_corpus[n]]
+    graphs += random_corpus()  # connected by construction
+    for g in graphs:
+        r = solve_exact(g)
+        assert (r.s_value, r.witness.colours) == reference_solve(g)
+
+
+def test_parity_skip_sound(cubic_corpus):
+    # a cubic graph with no 3-edge-colouring has none after deleting one
+    # edge either, so the exact solver may skip k=1 on cubic graphs
+    class_two = [
+        g
+        for n in (4, 6, 8, 10)
+        for g in cubic_corpus[n]
+        if reference_three_colour(g, frozenset()) is None
+    ]
+    assert class_two  # Petersen and the bridged cubic graph on 10 vertices
+    for g in class_two:
+        assert g.is_connected() and g.is_cubic()
+        for e in range(g.edge_count):
+            assert reference_three_colour(g, frozenset({e})) is None
+
+
+@pytest.mark.parametrize("n", [3000, 3001])
+def test_long_cycle_needs_no_recursion(n):
+    g = make_named("cycle", n)
+    c = is_3_edge_colourable(g)
+    assert c is not None and c.classification() is ColouringKind.PROPER
+    r = solve_exact(g)
+    assert r.s_value == 0
+    assert r.witness.classification() is ColouringKind.PROPER
 
 
 # ---------------------------------------------------------------------------
