@@ -8,14 +8,24 @@ stable integer id equal to its position in the edge tuple.
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from math import isqrt
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, GraphFormatError
 
 MAX_DEGREE = 3
 
 _G6_HEADER = ">>graph6<<"
+_G6_OUT_OF_RANGE = re.compile(rb"[^\x3f-\x7e]")
+_G6_NONZERO_GROUP = re.compile(rb"[^?]")
+# 6-bit group -> offsets of its set bits, 0 being the high bit
+_G6_SET_BITS = [
+    tuple(off for off in range(6) if group >> (5 - off) & 1) for group in range(64)
+]
+# byte b -> b + 63: turns 6-bit groups into graph6 characters
+_G6_PRINTABLE = bytes((b + 63) % 256 for b in range(256))
 
 
 class Graph:
@@ -25,7 +35,9 @@ class Graph:
     insertion order; the index of an edge in ``edges`` is its id.
     """
 
-    __slots__ = ("vertex_count", "edges", "adjacency", "_edge_ids")
+    # _iso holds the isomorphism invariants once isomorphic() or
+    # enumerate_cubic() has computed them (see _iso_invariants)
+    __slots__ = ("vertex_count", "edges", "adjacency", "_edge_ids", "_iso")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
         if vertex_count < 0:
@@ -58,6 +70,7 @@ class Graph:
         self.edges = tuple(normalised)
         self.adjacency = tuple(tuple(nbrs) for nbrs in adjacency)
         self._edge_ids = edge_ids
+        self._iso: _IsoInvariants | None = None
 
     @property
     def edge_count(self) -> int:
@@ -197,9 +210,10 @@ def parse_graph6(text: str) -> Graph:
     the encoded graph has a vertex of degree above three.
     """
     data = _g6_payload(text)
-    for pos, byte in enumerate(data):
-        if not 63 <= byte <= 126:
-            raise GraphFormatError(f"byte {byte} outside graph6 range", pos)
+    bad = _G6_OUT_OF_RANGE.search(data)
+    if bad:
+        pos = bad.start()
+        raise GraphFormatError(f"byte {data[pos]} outside graph6 range", pos)
     n, start = _g6_read_size(data)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
@@ -211,22 +225,18 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(data) > expected:
         raise GraphFormatError("trailing bytes after graph6 data", expected)
+    # only groups with a set bit are visited; bit k is pair (i, j) with
+    # k = j(j-1)/2 + i, visited in increasing k
     edges = []
-    k = 0
-    i, j = 0, 1
-    for pos in range(start, expected):
-        group = data[pos] - 63
-        for shift in (5, 4, 3, 2, 1, 0):
-            bit = (group >> shift) & 1
-            if k < nbits:
-                if bit:
-                    edges.append((i, j))
-                i += 1
-                if i == j:
-                    i, j = 0, j + 1
-                k += 1
-            elif bit:
+    for hit in _G6_NONZERO_GROUP.finditer(data, start, expected):
+        pos = hit.start()
+        base = (pos - start) * 6
+        for off in _G6_SET_BITS[data[pos] - 63]:
+            k = base + off
+            if k >= nbits:
                 raise GraphFormatError("nonzero padding bit", pos)
+            j = (1 + isqrt(8 * k + 1)) // 2
+            edges.append((k - j * (j - 1) // 2, j))
     return Graph(n, edges)
 
 
@@ -239,19 +249,12 @@ def emit_graph6(g: Graph) -> str:
         size = bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
     else:
         raise DomainError("graph too large for graph6 encoding")
-    nbits = n * (n - 1) // 2
-    bits = bytearray(nbits)
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
     for u, v in g.edges:
         # column-major position of pair (u, v), u < v
-        bits[v * (v - 1) // 2 + u] = 1
-    out = bytearray(size)
-    for base in range(0, nbits, 6):
-        group = 0
-        for shift, k in zip((5, 4, 3, 2, 1, 0), range(base, base + 6)):
-            if k < nbits and bits[k]:
-                group |= 1 << shift
-        out.append(group + 63)
-    return out.decode("ascii")
+        k = v * (v - 1) // 2 + u
+        body[k // 6] |= 32 >> (k % 6)
+    return (size + body.translate(_G6_PRINTABLE)).decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -495,15 +498,23 @@ def _bfs_ordered_cubic_edge_sets(n: int) -> Iterator[tuple[tuple[int, int], ...]
     yield from complete(0, 1)
 
 
-def _adjacency_masks(g: Graph) -> list[int]:
-    masks = [0] * g.vertex_count
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
+class _IsoInvariants(NamedTuple):
+    """Isomorphism invariants of one graph and its search order, computed
+    once by _iso_invariants."""
+
+    key: tuple  # bucket key: equal for isomorphic graphs
+    masks: list[int]  # adjacency bitmask of each vertex
+    classes: dict[int, int]  # vertex label -> bitmask of the vertices carrying it
+    # the vertices in search order, by depth: label, the depth of the
+    # breadth-first parent (-1 for a root), the depths of earlier neighbours
+    order_labels: list[int]
+    order_anchors: list[int]
+    order_earlier: list[list[int]]
 
 
-def _vertex_labels(g: Graph, masks: list[int]) -> list[int]:
+def _vertex_labels(
+    nbrs: list[tuple[int, ...]], masks: list[int], tri: list[int]
+) -> list[int]:
     """Canonical isomorphism-invariant vertex labels.
 
     Seeds each vertex with its degree, triangle count, and distance-layer
@@ -511,12 +522,7 @@ def _vertex_labels(g: Graph, masks: list[int]) -> list[int]:
     sorted signatures, so isomorphic graphs get identical label multisets
     regardless of vertex numbering.
     """
-    n = g.vertex_count
-    tri = [0] * n
-    for u, v in g.edges:
-        c = bin(masks[u] & masks[v]).count("1")
-        tri[u] += c
-        tri[v] += c
+    n = len(nbrs)
     profiles = []
     for v in range(n):
         seen = frontier = 1 << v
@@ -531,15 +537,14 @@ def _vertex_labels(g: Graph, masks: list[int]) -> list[int]:
             nxt &= ~seen
             if not nxt:
                 break
-            layers.append(bin(nxt).count("1"))
+            layers.append(nxt.bit_count())
             seen |= nxt
             frontier = nxt
         profiles.append(tuple(layers))
-    nbrs = [g.neighbours(v) for v in range(n)]
     labels: list = [(len(nbrs[v]), tri[v], profiles[v]) for v in range(n)]
     for _ in range(3):
         sigs = [
-            (labels[v], tuple(sorted(labels[w] for w in nbrs[v])))
+            (labels[v], tuple(sorted([labels[w] for w in nbrs[v]])))
             for v in range(n)
         ]
         rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
@@ -547,92 +552,138 @@ def _vertex_labels(g: Graph, masks: list[int]) -> list[int]:
     return labels
 
 
-def _wl_key(g: Graph) -> tuple:
-    """Isomorphism-invariant bucket key for enumeration dedup."""
-    masks = _adjacency_masks(g)
-    edge_tri = sorted(
-        bin(masks[u] & masks[v]).count("1") for u, v in g.edges
+def _iso_invariants(g: Graph) -> _IsoInvariants:
+    """The isomorphism invariants of g, computed on the first call and kept
+    on g for later ones.
+
+    This is the one place they are computed.  The search order is a
+    breadth-first forest whose roots are taken from the rarest label class
+    first, so each vertex but a root has a previously mapped neighbour and
+    candidate sets stay small.
+    """
+    if g._iso is not None:
+        return g._iso
+    n = g.vertex_count
+    nbrs = [tuple(w for w, _ in adj) for adj in g.adjacency]
+    masks = [0] * n
+    for v, vn in enumerate(nbrs):
+        for w in vn:
+            masks[v] |= 1 << w
+    tri = [0] * n
+    edge_tri = []
+    for u, v in g.edges:
+        c = (masks[u] & masks[v]).bit_count()
+        tri[u] += c
+        tri[v] += c
+        edge_tri.append(c)
+    labels = _vertex_labels(nbrs, masks, tri)
+    classes: dict[int, int] = {}
+    for v, lab in enumerate(labels):
+        classes[lab] = classes.get(lab, 0) | (1 << v)
+    class_size = {lab: mask.bit_count() for lab, mask in classes.items()}
+    depth = [-1] * n
+    order: list[int] = []
+    anchors: list[int] = []
+    for root in sorted(range(n), key=lambda v: (class_size[labels[v]], v)):
+        if depth[root] >= 0:
+            continue
+        depth[root] = len(order)
+        order.append(root)
+        anchors.append(-1)
+        head = depth[root]
+        while head < len(order):
+            for w in nbrs[order[head]]:
+                if depth[w] < 0:
+                    depth[w] = len(order)
+                    order.append(w)
+                    anchors.append(head)
+            head += 1
+    g._iso = _IsoInvariants(
+        key=(n, g.edge_count, tuple(sorted(edge_tri)), tuple(sorted(labels))),
+        masks=masks,
+        classes=classes,
+        order_labels=[labels[v] for v in order],
+        order_anchors=anchors,
+        order_earlier=[
+            [depth[u] for u in nbrs[v] if depth[u] < k] for k, v in enumerate(order)
+        ],
     )
-    return (
-        g.vertex_count,
-        g.edge_count,
-        tuple(edge_tri),
-        tuple(sorted(_vertex_labels(g, masks))),
-    )
+    return g._iso
 
 
 def isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exact isomorphism test: canonical vertex labels for pruning, then
-    backtracking over a breadth-first order of g1."""
+    """Exact isomorphism test.
+
+    Each graph's invariants (adjacency masks, refined vertex labels, label
+    classes, search order) are computed once per graph and kept on it, so
+    repeated tests against one graph reuse them.  They only prune: the
+    answer comes from a backtracking search, over a breadth-first order of
+    g1, for a bijection that preserves adjacency, so answers (and the dedup
+    decisions of enumerate_cubic) are those of recomputing the invariants in
+    every call.  The search runs on an explicit stack, so it has no
+    recursion-depth limit.
+    """
     n = g1.vertex_count
     if n != g2.vertex_count or g1.edge_count != g2.edge_count:
         return False
     if g1.edges == g2.edges:
         return True
-    masks1 = _adjacency_masks(g1)
-    masks2 = _adjacency_masks(g2)
-    labels1 = _vertex_labels(g1, masks1)
-    labels2 = _vertex_labels(g2, masks2)
-    if sorted(labels1) != sorted(labels2):
+    inv1 = _iso_invariants(g1)
+    inv2 = _iso_invariants(g2)
+    if inv1.key != inv2.key:
         return False
-    label_mask2: dict[int, int] = {}
-    for w, lab in enumerate(labels2):
-        label_mask2[lab] = label_mask2.get(lab, 0) | (1 << w)
-    # breadth-first forest order over g1 so each vertex (except roots) has a
-    # previously mapped neighbour, keeping candidate sets small; roots start
-    # in the rarest label class
-    order: list[int] = []
-    anchor: list[int] = [-1] * n
-    seen = [False] * n
-    class_size = {lab: bin(m).count("1") for lab, m in label_mask2.items()}
-    for root in sorted(range(n), key=lambda v: (class_size[labels1[v]], v)):
-        if seen[root]:
+    # equal keys mean equal label multisets, so g1's order (roots from its
+    # rarest classes) is the one the classes of g2 would give
+    masks2 = inv2.masks
+    classes = [inv2.classes[lab] for lab in inv1.order_labels]
+    anchors, earlier = inv1.order_anchors, inv1.order_earlier
+    # per depth: the g2 vertex mapped there, the untried candidates in
+    # increasing vertex order, and the image of the earlier neighbours
+    mapped = [0] * n
+    pending = [0] * n
+    image = [0] * n
+    pending[0] = classes[0]
+    used = 0
+    k = 0
+    while True:
+        cand = pending[k]
+        if not cand:
+            k -= 1
+            if k < 0:
+                return False
+            used ^= 1 << mapped[k]
             continue
-        seen[root] = True
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for w in g1.neighbours(v):
-                if not seen[w]:
-                    seen[w] = True
-                    anchor[w] = v
-                    queue.append(w)
-    nbrs1 = [g1.neighbours(v) for v in range(n)]
-    mapping = [-1] * n
-
-    def extend(k: int, used: int) -> bool:
+        low = cand & -cand
+        pending[k] = cand ^ low
+        w = low.bit_length() - 1
+        if masks2[w] & used != image[k]:
+            continue
+        mapped[k] = w
+        used |= low
+        k += 1
         if k == n:
             return True
-        v = order[k]
-        if anchor[v] == -1:
-            cand_mask = label_mask2[labels1[v]] & ~used
-        else:
-            cand_mask = masks2[mapping[anchor[v]]] & label_mask2[labels1[v]] & ~used
-        image = 0
-        for u in nbrs1[v]:
-            mu = mapping[u]
-            if mu >= 0:
-                image |= 1 << mu
-        while cand_mask:
-            low = cand_mask & -cand_mask
-            cand_mask ^= low
-            w = low.bit_length() - 1
-            if masks2[w] & used != image:
-                continue
-            mapping[v] = w
-            if extend(k + 1, used | low):
-                return True
-            mapping[v] = -1
-        return False
-
-    return extend(0, 0)
+        cand = classes[k] & ~used
+        if anchors[k] >= 0:
+            cand &= masks2[mapped[anchors[k]]]
+        pending[k] = cand
+        img = 0
+        for d in earlier[k]:
+            img |= 1 << mapped[d]
+        image[k] = img
 
 
 def enumerate_cubic(n: int) -> Iterator[Graph]:
     """Yield every connected cubic graph on n vertices, one per isomorphism
     class (isomorphism-free enumeration: breadth-first-ordered candidate
     generation deduplicated by an exact isomorphism test).
+
+    Each candidate's invariants are computed once and serve both as its
+    bucket key and in every isomorphism test against the representatives
+    kept in that bucket, which keep theirs for the whole enumeration.  Since
+    the test is exact and the key is an invariant, the dedup decisions, and
+    so the graphs yielded and their order, are those of recomputing the
+    invariants in every test.
 
     n must be even and between 4 and 14.
     """
@@ -643,7 +694,7 @@ def enumerate_cubic(n: int) -> Iterator[Graph]:
     buckets: dict[tuple, list[Graph]] = {}
     for edge_set in _bfs_ordered_cubic_edge_sets(n):
         g = Graph(n, edge_set)
-        bucket = buckets.setdefault(_wl_key(g), [])
+        bucket = buckets.setdefault(_iso_invariants(g).key, [])
         if any(isomorphic(g, seen) for seen in bucket):
             continue
         bucket.append(g)

@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from deltamin import emit_edge_list, emit_graph6, make_named, parse_graph6, solv
 from deltamin.cli import RunConfig, cmd_analyze, cmd_solve, cmd_suite, cmd_verify, main
 
 PETERSEN_G6 = emit_graph6(make_named("petersen"))
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_main(argv, stdin_text=None, monkeypatch=None, capsys=None):
@@ -267,6 +269,20 @@ def test_generate_cubic(capsys, monkeypatch):
     graphs = [parse_graph6(ln) for ln in out.splitlines()]
     assert len(graphs) == 2
     assert all(g.is_cubic() for g in graphs)
+
+
+def test_generate_cubic_10_matches_golden(capsys):
+    # the 19 connected cubic graphs on 10 vertices, in enumeration order
+    code, out, _ = run_main(["generate", "--cubic", "10"], capsys=capsys)
+    assert code == 0
+    assert out.encode("ascii") == (GOLDEN / "cubic_10.g6").read_bytes()
+
+
+@pytest.mark.slow
+def test_generate_cubic_12_matches_golden(capsys):
+    code, out, _ = run_main(["generate", "--cubic", "12"], capsys=capsys)
+    assert code == 0
+    assert out.encode("ascii") == (GOLDEN / "cubic_12.g6").read_bytes()
 
 
 def test_generate_random_deterministic(capsys, monkeypatch):

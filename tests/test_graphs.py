@@ -6,6 +6,8 @@ n <= 8 and against pairwise networkx isomorphism at n = 10.
 """
 
 import itertools
+import random
+import sys
 
 import networkx as nx
 import pytest
@@ -166,6 +168,49 @@ def test_graph6_error_offsets():
     with pytest.raises(GraphFormatError) as err:
         parse_graph6("D?A")
     assert "padding" in str(err.value) and "offset 2" in str(err.value)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_graph6_round_trip_matches_networkx_on_large_graphs(seed):
+    g = random_subcubic(2000, seed)
+    text = emit_graph6(g)
+    theirs = nx.from_graph6_bytes(text.encode())
+    assert set(theirs.nodes) == set(range(g.vertex_count))
+    assert {tuple(sorted(e)) for e in theirs.edges} == set(g.edges)
+    back = parse_graph6(text)
+    assert back == g
+    # edges come back in the column-major order of their bits
+    assert back.edges == tuple(sorted(g.edges, key=lambda e: (e[1], e[0])))
+
+
+def test_graph6_parse_of_networkx_emission_on_a_large_graph():
+    g = random_subcubic(2000, 3)
+    theirs = nx.to_graph6_bytes(to_nx(g), header=False).decode().strip()
+    assert emit_graph6(g) == theirs
+    assert parse_graph6(theirs) == g
+
+
+def test_graph6_error_offsets_in_long_strings():
+    text = emit_graph6(random_subcubic(2000, 1))
+    assert text[0] == "~"  # long-form size field
+    pos = len(text) - 1000
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph6(text[:pos] + chr(127) + text[pos + 1:])
+    assert "byte 127 outside graph6 range" in str(err.value)
+    assert err.value.offset == pos
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph6(text[:-1])
+    assert "truncated" in str(err.value) and err.value.offset == len(text) - 1
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph6(text + "?")
+    assert "trailing" in str(err.value) and err.value.offset == len(text)
+    # n=65 has 2080 pair bits: the last byte carries two padding bits
+    path = emit_graph6(Graph(65, [(i, i + 1) for i in range(64)]))
+    assert path[0] == "~" and 65 * 64 // 2 % 6 == 4
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph6(path[:-1] + chr(ord(path[-1]) + 1))
+    assert "nonzero padding bit" in str(err.value)
+    assert err.value.offset == len(path) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +380,25 @@ def labelled_cubic_graphs(n: int):
 
 
 def reference_cubic_classes(n: int) -> list[nx.Graph]:
+    """One graph per class of connected labelled cubic graphs on n vertices.
+
+    Two labelled graphs on the same vertices are isomorphic exactly when one
+    is a relabelling of the other, so each new class adds every relabelling
+    of its edge set (its orbit) to ``seen`` and later members of the class
+    are recognised by set lookup.
+    """
+    perms = list(itertools.permutations(range(n)))
+    seen: set[frozenset] = set()
     classes: list[nx.Graph] = []
     for edges in labelled_cubic_graphs(n):
+        if frozenset(edges) in seen:
+            continue
         h = nx.Graph(list(edges))
         if len(h) != n or not nx.is_connected(h):
             continue
-        if not any(nx.is_isomorphic(h, c) for c in classes):
-            classes.append(h)
+        classes.append(h)
+        for p in perms:
+            seen.add(frozenset((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges))
     return classes
 
 
@@ -400,6 +457,46 @@ def test_isomorphic_agrees_with_networkx(cubic_corpus):
     for a, b in itertools.combinations(pool, 2):
         expect = nx.is_isomorphic(to_nx(a), to_nx(b))
         assert isomorphic(a, b) == expect
+
+
+def one_edge_moved(g: Graph, rng: random.Random) -> Graph:
+    """Replace one edge (a, b) by (a, c) with deg(c) = deg(b) - 1, which
+    keeps the degree multiset."""
+    deg = g.degrees()
+    edges = list(g.edges)
+    while True:
+        i = rng.randrange(len(edges))
+        a, b = edges[i]
+        targets = [
+            c
+            for c in range(g.vertex_count)
+            if c not in (a, b) and deg[c] == deg[b] - 1 and not g.has_edge(a, c)
+        ]
+        if targets:
+            edges[i] = (a, rng.choice(targets))
+            return Graph(g.vertex_count, edges)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_isomorphic_above_recursion_limit(seed):
+    # the search goes one level deeper per vertex, past the interpreter's
+    # recursion limit here.  networkx's VF2 does not finish on graphs this
+    # size, so its verdicts come from checking the relabelling (isomorphic)
+    # and from differing Wiener indices, the sums of all distances (not
+    # isomorphic).
+    n = sys.getrecursionlimit() + 100
+    g = random_subcubic(n, seed)
+    rng = random.Random(f"deep-iso:{seed}")
+    perm = list(range(n))
+    rng.shuffle(perm)
+    copy = Graph(n, [(perm[u], perm[v]) for u, v in g.edges])
+    moved = one_edge_moved(g, rng)
+    assert sorted(moved.degrees()) == sorted(g.degrees())
+    assert isomorphic(g, copy) and isomorphic(copy, g)
+    relabelled = nx.relabel_nodes(to_nx(g), dict(enumerate(perm)))
+    assert nx.utils.graphs_equal(relabelled, to_nx(copy))
+    assert not isomorphic(g, moved) and not isomorphic(moved, copy)
+    assert nx.wiener_index(to_nx(g)) != nx.wiener_index(to_nx(moved))
 
 
 def test_isomorphic_quick_rejects():
