@@ -89,15 +89,20 @@ def _parse_payload(payload: str, fmt: str) -> Graph:
 # solve
 
 
-def _solve_one(task: tuple[int, str, str, int, int]) -> dict:
-    index, payload, fmt, exact_limit, seed = task
+Edges = tuple[tuple[int, int], ...]
+
+
+def _solve_one(task: tuple[int, str, str, int, int, bool]) -> tuple[dict, Optional[Edges]]:
+    """One graph's record, plus its edges when keep_edges asks for them
+    (DOT output draws them, and the graph is parsed only here)."""
+    index, payload, fmt, exact_limit, seed, keep_edges = task
     try:
         g = _parse_payload(payload, fmt)
     except GraphFormatError as exc:
-        return {"index": index, "error": str(exc), "offset": exc.offset}
+        return {"index": index, "error": str(exc), "offset": exc.offset}, None
     except DeltaMinError as exc:
-        return {"index": index, "error": str(exc), "offset": None}
-    return _solve_graph(index, g, exact_limit, seed)
+        return {"index": index, "error": str(exc), "offset": None}, None
+    return _solve_graph(index, g, exact_limit, seed), (g.edges if keep_edges else None)
 
 
 def _solve_graph(index: int, g: Graph, exact_limit: int, seed: int) -> dict:
@@ -115,8 +120,9 @@ def _solve_graph(index: int, g: Graph, exact_limit: int, seed: int) -> dict:
     }
 
 
-def _records_for(cfg: RunConfig, payloads: list[tuple[int, str]]) -> list[dict]:
-    tasks = [(i, p, cfg.format, cfg.exact_limit, cfg.seed) for i, p in payloads]
+def _records_for(cfg: RunConfig, payloads: list[tuple[int, str]]) -> list[tuple[dict, Optional[Edges]]]:
+    keep_edges = cfg.output == "dot"
+    tasks = [(i, p, cfg.format, cfg.exact_limit, cfg.seed, keep_edges) for i, p in payloads]
     if cfg.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             return list(pool.map(_solve_one, tasks))
@@ -131,44 +137,41 @@ _DOT_EDGE_STYLE = {
 }
 
 
-def _emit_dot(record: dict, payload: str, cfg: RunConfig, out: TextIO) -> None:
-    g = _parse_payload(payload, cfg.format)
+def _emit_dot(record: dict, edges: Edges, out: TextIO) -> None:
     colours = record.get("colours")
     out.write(f'graph g{record["index"]} {{\n')
     out.write(f'  // n={record["n"]} m={record["m"]} s={record["s"]} method={record["method"]}\n')
-    for eid, (u, v) in enumerate(g.edges):
+    for eid, (u, v) in enumerate(edges):
         style = _DOT_EDGE_STYLE[colours[eid]] if colours else ""
         suffix = f" [{style}]" if style else ""
         out.write(f"  {u} -- {v}{suffix};\n")
     out.write("}\n")
 
 
-def _write_records(cfg: RunConfig, records: list[dict], payloads: list[tuple[int, str]], out: TextIO) -> None:
+def _write_records(cfg: RunConfig, results: list[tuple[dict, Optional[Edges]]], out: TextIO) -> None:
     if cfg.output == "json":
-        for rec in records:
+        for rec, _ in results:
             out.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
         return
     if cfg.output == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["name", "n", "m", "s", "method"])
-        for rec in records:
+        for rec, _ in results:
             if "error" in rec:
                 continue
             writer.writerow([f'g{rec["index"]}', rec["n"], rec["m"], rec["s"], rec["method"]])
         return
-    by_index = dict(payloads)
-    for rec in records:
+    for rec, edges in results:
         if "error" in rec:
             continue
-        _emit_dot(rec, by_index[rec["index"]], cfg, out)
+        _emit_dot(rec, edges, out)
 
 
 def cmd_solve(cfg: RunConfig, out: Optional[TextIO] = None) -> int:
     out = out if out is not None else sys.stdout
-    payloads = _load_graphs(cfg)
-    records = _records_for(cfg, payloads)
-    _write_records(cfg, records, payloads, out)
-    failures = [r for r in records if "error" in r]
+    results = _records_for(cfg, _load_graphs(cfg))
+    _write_records(cfg, results, out)
+    failures = [rec for rec, _ in results if "error" in rec]
     for rec in failures:
         log.error("graph %d: %s", rec["index"], rec["error"])
     return 1 if failures else 0

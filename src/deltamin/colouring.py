@@ -72,7 +72,7 @@ class EdgeColouring:
         return frozenset(e for e, c in enumerate(self.colours) if c is x)
 
     def delta_count(self) -> int:
-        return sum(1 for c in self.colours if c is Colour.DELTA)
+        return self.colours.count(Colour.DELTA)
 
     def colours_at(self, v: int, skip: int | None = None) -> list[Colour]:
         """Colours on the edges incident to v, optionally skipping one edge."""
@@ -99,10 +99,17 @@ class EdgeColouring:
         return worst
 
     def with_colours(self, changes: Mapping[int, Colour]) -> "EdgeColouring":
+        """A copy with the given edges recoloured.  Only the new colours are
+        checked: the others were checked when self was built."""
         new = list(self.colours)
         for eid, c in changes.items():
+            if not isinstance(c, Colour):
+                raise DomainError(f"not a colour: {c!r}")
             new[eid] = c
-        return EdgeColouring(self.graph, new)
+        out = object.__new__(EdgeColouring)
+        out.graph = self.graph
+        out.colours = tuple(new)
+        return out
 
     def to_json(self) -> str:
         return json.dumps({"colours": [c.value for c in self.colours]})
@@ -245,6 +252,41 @@ def kempe_swap(c: EdgeColouring, d: KempeDecomposition, index: int) -> EdgeColou
     return c.with_colours(changes)
 
 
+def kempe_path_from(c: EdgeColouring, v: int, x: Colour, y: Colour) -> tuple[int, list[int]]:
+    """Walk the (x, y) Kempe path that ends at v: its far end, and its edge
+    ids in order from v.
+
+    v must see exactly one of x and y, which makes it an end of a path
+    component of kempe_decompose(c, x, y); this is that component, walked
+    from v, at a cost of its length instead of kempe_decompose's O(m).
+    Raises ContractViolationError when v sees neither or both colours, and
+    DomainError when the restriction to {x, y} is improper at a vertex the
+    walk reaches.
+    """
+    if x is y:
+        raise DomainError("need two distinct colours")
+    g, colours = c.graph, c.colours
+    path: list[int] = []
+    at, came = v, -1
+    while True:
+        pair = [eid for _, eid in g.adjacency[at] if colours[eid] is x or colours[eid] is y]
+        if len(pair) > 2 or (len(pair) == 2 and colours[pair[0]] is colours[pair[1]]):
+            raise DomainError(
+                f"restriction to {x.value},{y.value} is improper at vertex {at}"
+            )
+        if came == -1 and len(pair) != 1:
+            raise ContractViolationError(
+                f"expected vertex {v} to end a ({x.value},{y.value}) path"
+            )
+        onward = [eid for eid in pair if eid != came]
+        if not onward:
+            return at, path
+        came = onward[0]
+        path.append(came)
+        a, b = g.edges[came]
+        at = b if a == at else a
+
+
 def _missing_at(c: EdgeColouring, v: int, skip: int) -> list[Colour]:
     """Non-delta colours absent from v's incident edges other than skip."""
     present = set(c.colours_at(v, skip=skip))
@@ -258,32 +300,41 @@ def properize(c: EdgeColouring) -> EdgeColouring:
     one, so the result's delta class is a subset of the input's (strict
     whenever the input had a clash).  Proper inputs are returned unchanged.
     Invalid inputs (a clash on a non-delta colour) raise DomainError.
+
+    Every round resolves the clash at the lowest vertex that has one.  Since
+    the delta class only shrinks, no clash appears below a vertex once it
+    is clash-free, so one pointer that never moves back finds those
+    vertices: O(n) for the scan plus, per round, O(1) work at the clash,
+    the length of a Kempe walk and one copy of the colour tuple, where the
+    first version rescanned every vertex and rebuilt a whole Kempe
+    decomposition per round.  The rounds, and so the result, are that
+    version's.
     """
     kind = c.classification()
     if kind is ColouringKind.INVALID:
         raise DomainError("colouring has a non-delta clash")
-    while True:
-        clash = None
-        for v in range(c.graph.vertex_count):
-            deltas = sorted(
-                eid
-                for _, eid in c.graph.adjacency[v]
-                if c.colours[eid] is Colour.DELTA
-            )
-            if len(deltas) >= 2:
-                clash = (v, deltas)
-                break
-        if clash is None:
-            return c
-        u, deltas = clash
-        before = c.colour_class(Colour.DELTA)
-        c = _resolve_clash(c, u, deltas)
-        after = c.colour_class(Colour.DELTA)
-        # the round must strictly shrink the delta class
-        assert after < before, "clash resolution failed to shrink delta"
+    g = c.graph
+    u = 0
+    while u < g.vertex_count:
+        deltas = sorted(
+            eid for _, eid in g.adjacency[u] if c.colours[eid] is Colour.DELTA
+        )
+        if len(deltas) < 2:
+            u += 1
+            continue
+        changes = _resolve_clash(c, u, deltas)
+        # the round must strictly shrink the delta class: some changed edge
+        # leaves it and none joins it
+        was = [c.colours[eid] is Colour.DELTA for eid in changes]
+        now = [col is Colour.DELTA for col in changes.values()]
+        assert any(w and not n for w, n in zip(was, now)), "clash resolution failed to shrink delta"
+        assert not any(n and not w for w, n in zip(was, now)), "clash resolution grew delta"
+        c = c.with_colours(changes)
+    return c
 
 
-def _resolve_clash(c: EdgeColouring, u: int, deltas: list[int]) -> EdgeColouring:
+def _resolve_clash(c: EdgeColouring, u: int, deltas: list[int]) -> dict[int, Colour]:
+    """The recolouring that removes one delta edge at u, as {edge: colour}."""
     g = c.graph
     e1, e2 = deltas[0], deltas[1]
 
@@ -296,7 +347,7 @@ def _resolve_clash(c: EdgeColouring, u: int, deltas: list[int]) -> EdgeColouring
         # the lowest delta edge works (at most two are taken there)
         far = other_end(e1)
         free = _missing_at(c, far, skip=e1)
-        return c.with_colours({e1: free[0]})
+        return {e1: free[0]}
 
     third = next(
         eid for _, eid in g.adjacency[u] if eid not in (e1, e2)
@@ -307,25 +358,13 @@ def _resolve_clash(c: EdgeColouring, u: int, deltas: list[int]) -> EdgeColouring
         far = other_end(eid)
         for col in _missing_at(c, far, skip=eid):
             if col is not x:
-                return c.with_colours({eid: col})
+                return {eid: col}
     # both far ends see all of the other two colours: swap the Kempe path of
     # (x, y) that ends at u, freeing x there, then give x to a delta edge
     # whose far end is not the path's other endpoint
     y = next(col for col in NON_DELTA if col is not x)
-    d = kempe_decompose(c, x, y)
-    at_u = d.component_at(u)
-    if at_u is None or d.components[at_u].is_cycle:
-        raise ContractViolationError(
-            f"expected vertex {u} to end a ({x.value},{y.value}) path"
-        )
-    path = d.components[at_u]
-    ends = path.endpoints()
-    if u not in ends:
-        raise ContractViolationError(
-            f"expected vertex {u} to end a ({x.value},{y.value}) path"
-        )
-    far_end = ends[1] if ends[0] == u else ends[0]
-    v, w = other_end(e1), other_end(e2)
-    target = e2 if w != far_end else e1
-    swapped = kempe_swap(c, d, at_u)
-    return swapped.with_colours({target: x})
+    far_end, path = kempe_path_from(c, u, x, y)
+    target = e2 if other_end(e2) != far_end else e1
+    changes = {eid: y if c.colours[eid] is x else x for eid in path}
+    changes[target] = x
+    return changes

@@ -33,6 +33,7 @@ from .colouring import (
     ColouringKind,
     EdgeColouring,
     kempe_decompose,
+    kempe_path_from,
     kempe_swap,
     properize,
 )
@@ -272,7 +273,8 @@ def resistance_exact(g: Graph) -> int:
 
 
 def _perfect_matchings(g: Graph) -> Iterator[frozenset[int]]:
-    """All perfect matchings, by backtracking on the lowest uncovered vertex."""
+    """All perfect matchings, by backtracking on the lowest uncovered vertex.
+    Exponential; only enumerate_two_factors, guarded to small graphs, uses it."""
     if g.vertex_count % 2:
         return
     covered = [False] * g.vertex_count
@@ -323,14 +325,135 @@ def _cycles_of_complement(g: Graph, matching: frozenset[int]) -> tuple[tuple[int
     return tuple(cycles)
 
 
+def _augment(adj: list[list[int]], alive: list[bool], mate: list[int], root: int) -> bool:
+    """Edmonds' blossom search (Paths, trees, and flowers, Canad. J. Math.
+    1965) for an augmenting path from the exposed vertex root, within the
+    alive vertices.  Augments mate along it and returns True, or returns
+    False with mate unchanged.  O(n^2): O(n) per contracted blossom."""
+    n = len(adj)
+    base = list(range(n))  # base of the blossom each vertex is in
+    parent = [-1] * n  # tree parent of each odd vertex
+    even = [False] * n
+    even[root] = True
+    queue = [root]
+
+    def lca(a: int, b: int) -> int:
+        on_path = [False] * n
+        while True:
+            a = base[a]
+            on_path[a] = True
+            if mate[a] == -1:
+                break
+            a = parent[mate[a]]
+        while True:
+            b = base[b]
+            if on_path[b]:
+                return b
+            b = parent[mate[b]]
+
+    def mark(v: int, top: int, child: int, blossom: list[bool]) -> None:
+        while base[v] != top:
+            blossom[base[v]] = blossom[base[mate[v]]] = True
+            parent[v] = child
+            child = mate[v]
+            v = parent[mate[v]]
+
+    for v in queue:  # the queue grows while it is read
+        for to in adj[v]:
+            if not alive[to] or base[v] == base[to] or mate[v] == to:
+                continue
+            if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
+                # an odd cycle: contract the blossom into its base
+                top = lca(v, to)
+                blossom = [False] * n
+                mark(v, top, to, blossom)
+                mark(to, top, v, blossom)
+                for i in range(n):
+                    if blossom[base[i]]:
+                        base[i] = top
+                        if not even[i]:
+                            even[i] = True
+                            queue.append(i)
+            elif parent[to] == -1:
+                parent[to] = v
+                if mate[to] == -1:
+                    while to != -1:  # flip the path back to root
+                        back = mate[parent[to]]
+                        mate[to], mate[parent[to]] = parent[to], to
+                        to = back
+                    return True
+                even[mate[to]] = True
+                queue.append(mate[to])
+    return False
+
+
+def _maximum_matching(adj: list[list[int]]) -> list[int]:
+    """A maximum-cardinality matching as each vertex's mate (-1 when
+    exposed): a greedy start, then one blossom search per exposed vertex.
+    One pass is enough, as a vertex with no augmenting path gains none when
+    others augment."""
+    n = len(adj)
+    alive = [True] * n
+    mate = [-1] * n
+    for v in range(n):
+        if mate[v] == -1:
+            for w in adj[v]:
+                if mate[w] == -1:
+                    mate[v], mate[w] = w, v
+                    break
+    for v in range(n):
+        if mate[v] == -1:
+            _augment(adj, alive, mate, v)
+    return mate
+
+
 def find_two_factor(g: Graph) -> Optional[TwoFactor]:
     """Some 2-factor of a cubic graph, or None when no perfect matching
-    exists.  Non-cubic input returns None."""
+    exists.  Non-cubic input returns None.
+
+    The matching is the first one the backtracking _perfect_matchings
+    yields (lowest uncovered vertex v, its neighbours w in adjacency order),
+    found without backtracking.  A perfect matching of the uncovered
+    vertices is kept, first built by Edmonds' algorithm.  The backtracking
+    subtree under w holds a solution exactly when the uncovered vertices
+    minus {v, w} have a perfect matching, so the first w for which they do
+    is the one the backtracking commits to.  w = mate(v) always qualifies;
+    another w does when one blossom search joins mate(v) and mate(w), the
+    two vertices that dropping v and w leaves exposed.  O(n^3) in the worst
+    case (at most n searches for the first matching and two per vertex
+    after it, O(n^2) each), where the backtracking took exponential time on
+    flower snarks.
+    """
     if not g.is_cubic():
         return None
-    matching = next(_perfect_matchings(g), None)
-    if matching is None:
+    n = g.vertex_count
+    adj = [[w for w, _ in nbrs] for nbrs in g.adjacency]
+    mate = _maximum_matching(adj)
+    if -1 in mate:
         return None
+    alive = [True] * n
+    picked = []
+    for v in range(n):
+        if not alive[v]:
+            continue
+        alive[v] = False
+        # mate[v] is an alive neighbour, so this loop always ends in a break
+        for w, eid in g.adjacency[v]:
+            if not alive[w]:
+                continue
+            if w == mate[v]:
+                break
+            a, b = mate[v], mate[w]
+            alive[w] = False
+            mate[a] = mate[b] = -1
+            if _augment(adj, alive, mate, a):
+                break
+            mate[a], mate[b] = v, w
+            alive[w] = True
+        alive[w] = False
+        mate[v], mate[w] = w, v
+        picked.append(eid)
+    matching = frozenset(picked)
     return TwoFactor(g, _cycles_of_complement(g, matching), matching)
 
 
@@ -422,37 +545,56 @@ def _greedy_improper(g: Graph) -> EdgeColouring:
     return EdgeColouring(g, out)
 
 
+def _delta_edges(colours: tuple[Colour, ...]) -> Iterator[int]:
+    """Ids of the delta edges, ascending, found lazily by tuple.index."""
+    e = -1
+    while True:
+        try:
+            e = colours.index(Colour.DELTA, e + 1)
+        except ValueError:
+            return
+        yield e
+
+
+_PAIRS = ((Colour.ALPHA, Colour.BETA), (Colour.ALPHA, Colour.GAMMA), (Colour.BETA, Colour.GAMMA))
+
+
 def _reduce_once(c: EdgeColouring) -> Optional[EdgeColouring]:
     """One strict improvement of the delta count, if available.
 
     For each delta edge: recolour directly when a colour is free at both
     ends, otherwise look for a two-colour pair whose Kempe paths end at the
     two endpoints separately; swapping one path aligns the missing colours.
+    At most O(m) to find the delta edges, then O(1) per direct try and the
+    path's length per Kempe try: the path is walked from u (kempe_path_from), not
+    found in a whole decomposition, and it is u's component of that
+    decomposition, so the result is the one the decomposing version gave.
     """
     g = c.graph
-    for e in sorted(c.colour_class(Colour.DELTA)):
+    colours = c.colours
+    for e in _delta_edges(colours):
         u, v = g.edges[e]
         at_u = set(c.colours_at(u, skip=e))
         at_v = set(c.colours_at(v, skip=e))
         for col in NON_DELTA:
             if col not in at_u and col not in at_v:
                 return c.with_colours({e: col})
-        for x, y in ((Colour.ALPHA, Colour.BETA), (Colour.ALPHA, Colour.GAMMA), (Colour.BETA, Colour.GAMMA)):
+        for x, y in _PAIRS:
             u_misses = (x in at_u) != (y in at_u)
             v_misses = (x in at_v) != (y in at_v)
             if not (u_misses and v_misses):
                 continue
-            d = kempe_decompose(c, x, y)
-            iu, iv = d.component_at(u), d.component_at(v)
-            if iu is None or iv is None or iu == iv:
+            far_end, path = kempe_path_from(c, u, x, y)
+            if far_end == v:
                 continue
-            if d.components[iu].is_cycle or u not in d.components[iu].endpoints():
-                continue
-            swapped = kempe_swap(c, d, iu)
+            # u and v see different ones of x, y (seeing the same one would
+            # leave the other free at both ends, taken above), so the swap
+            # frees at u the colour v misses
+            changes = {eid: y if colours[eid] is x else x for eid in path}
             want = x if x not in at_v else y
-            if want in set(swapped.colours_at(u, skip=e)):
-                continue
-            return swapped.with_colours({e: want})
+            assert changes[path[0]] is not want
+            changes[e] = want
+            return c.with_colours(changes)
     return None
 
 
@@ -476,12 +618,14 @@ def heuristic_descent(g: Graph, seed: int = 0, max_rounds: int = 64) -> SolveRes
         current = properize(_greedy_improper(g))
         method = Method.HEURISTIC_UPPER_BOUND
     best = current
+    count = best_count = current.delta_count()
     for _ in range(max_rounds):
-        if best.delta_count() == 0:
+        if best_count == 0:
             break
         improved = _reduce_once(current)
         if improved is not None:
             current = improved
+            count -= 1
         else:
             # plateau: random Kempe swap, possibly worsening, to escape
             x, y = rng.sample(list(Colour), 2)
@@ -490,7 +634,8 @@ def heuristic_descent(g: Graph, seed: int = 0, max_rounds: int = 64) -> SolveRes
                 continue
             idx = rng.randrange(len(d.components))
             current = kempe_swap(current, d, idx)
-        if current.delta_count() < best.delta_count():
-            best = current
+            count = current.delta_count()
+        if count < best_count:
+            best, best_count = current, count
     assert best.classification() is ColouringKind.PROPER
-    return SolveResult(best.delta_count(), best, method)
+    return SolveResult(best_count, best, method)

@@ -252,16 +252,28 @@ def _cycle_vertices(c: EdgeColouring, cycle: tuple[int, ...]) -> set[int]:
 
 
 def _joining_edges(c: EdgeColouring, e1: int, e2: int) -> list[int]:
-    """Edges with one end on e1 and the other on e2."""
+    """Edges with one end on e1 and the other on e2, ascending.  Read off
+    the adjacency of e1's two ends: O(1) on a subcubic graph."""
     g = c.graph
-    ends1, ends2 = set(g.edges[e1]), set(g.edges[e2])
-    out = []
-    for eid, (a, b) in enumerate(g.edges):
-        if eid in (e1, e2):
-            continue
-        if (a in ends1 and b in ends2) or (a in ends2 and b in ends1):
-            out.append(eid)
-    return out
+    ends2 = g.edges[e2]
+    return sorted({
+        eid
+        for a in g.edges[e1]
+        for b, eid in g.adjacency[a]
+        if b in ends2 and eid != e1 and eid != e2
+    })
+
+
+def _boundary_edges(c: EdgeColouring, verts: set[int]) -> list[int]:
+    """Edges with exactly one end in verts, ascending."""
+    adjacency = c.graph.adjacency
+    return sorted(eid for a in verts for b, eid in adjacency[a] if b not in verts)
+
+
+def _induced_edges(c: EdgeColouring, verts: set[int]) -> list[int]:
+    """Edges with both ends in verts, ascending."""
+    adjacency = c.graph.adjacency
+    return sorted({eid for a in verts for b, eid in adjacency[a] if b in verts})
 
 
 def verify_theorem1(c: EdgeColouring, s_known: Optional[int] = None) -> VerificationReport:
@@ -279,6 +291,11 @@ def verify_theorem1(c: EdgeColouring, s_known: Optional[int] = None) -> Verifica
     g = c.graph
     delta_edges = sorted(c.colour_class(Colour.DELTA))
     found = _memberships_lenient(c)
+    verts_of = {
+        (e, cls): _cycle_vertices(c, cycle)
+        for e in delta_edges
+        for cls, cycle in found[e].items()
+    }
     clauses: list[ClauseResult] = []
 
     # delta_incidence: all three proper colours appear next to each delta edge
@@ -317,10 +334,9 @@ def verify_theorem1(c: EdgeColouring, s_known: Optional[int] = None) -> Verifica
     bad_ext = []
     for e in delta_edges:
         for cls, cycle in found[e].items():
-            verts = _cycle_vertices(c, cycle)
             want = cls.external_colour
-            for eid, (a, b) in enumerate(g.edges):
-                if (a in verts) != (b in verts) and c.colours[eid] is not want:
+            for eid in _boundary_edges(c, verts_of[(e, cls)]):
+                if c.colours[eid] is not want:
                     bad_ext.append({"edge": e, "class": cls.value, "external": eid})
     clauses.append(
         ClauseResult("external_edge_colour", not bad_ext, {"edges": bad_ext} if bad_ext else None)
@@ -343,9 +359,9 @@ def verify_theorem1(c: EdgeColouring, s_known: Optional[int] = None) -> Verifica
     # cycles_disjoint: cycles of distinct delta edges share no vertex
     bad_pairs = []
     for e1, e2 in combinations(delta_edges, 2):
-        for cyc1 in found[e1].values():
-            for cyc2 in found[e2].values():
-                shared = _cycle_vertices(c, cyc1) & _cycle_vertices(c, cyc2)
+        for cls1 in found[e1]:
+            for cls2 in found[e2]:
+                shared = verts_of[(e1, cls1)] & verts_of[(e2, cls2)]
                 if shared:
                     bad_pairs.append({"edges": [e1, e2], "vertices": sorted(shared)})
     clauses.append(
@@ -394,9 +410,7 @@ def verify_theorem1(c: EdgeColouring, s_known: Optional[int] = None) -> Verifica
             verts = set()
             for e in trio:
                 verts.update(g.edges[e])
-            induced = [
-                eid for eid, (a, b) in enumerate(g.edges) if a in verts and b in verts
-            ]
+            induced = _induced_edges(c, verts)
             if len(induced) > 4:
                 bad_triples.append(
                     {"edges": list(trio), "class": cls.value, "induced": induced}

@@ -117,6 +117,16 @@ def test_solve_dot_round_trip(tmp_path, capsys, monkeypatch):
     assert len(delta_edges) == 2
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_solve_dot_matches_golden(capsys, jobs):
+    # exact and heuristic graphs around a corrupt line; with --jobs 2 the
+    # edges come back from the pool workers instead of a second parse
+    path = str(GOLDEN / "solve_dot.g6")
+    code, out, _ = run_main(["solve", path, "--out", "dot", "--jobs", jobs], capsys=capsys)
+    assert code == 1  # the corrupt line
+    assert out.encode("ascii") == (GOLDEN / "solve_dot.dot").read_bytes()
+
+
 def test_solve_heuristic_above_exact_limit(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "in.g6", PETERSEN_G6 + "\n")
     code, out, _ = run_main(["solve", path, "--exact-limit", "8"], capsys=capsys)
@@ -238,6 +248,16 @@ def test_analyze_class_one_graph_has_null_parity(tmp_path, capsys, monkeypatch):
     rec = json.loads(out)
     assert rec["s"] == 0
     assert rec["parity"] is None
+
+
+def test_analyze_heuristic_matches_golden(capsys):
+    # flower snarks J9-J13 (2-factor start) and random subcubic graphs on
+    # 300-600 vertices (greedy start): witnesses and verify reports of the
+    # heuristic path, byte for byte; upper-bound witnesses fail clauses
+    path = str(GOLDEN / "analyze_heuristic.g6")
+    code, out, _ = run_main(["analyze", path, "--exact-limit", "14"], capsys=capsys)
+    assert code == 1
+    assert out.encode("ascii") == (GOLDEN / "analyze_heuristic.jsonl").read_bytes()
 
 
 def test_analyze_bad_line_errors(tmp_path, capsys, monkeypatch):

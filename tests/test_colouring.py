@@ -13,10 +13,12 @@ from deltamin import (
     Graph,
     kempe_decompose,
     kempe_swap,
+    heuristic_descent,
     make_named,
     properize,
     random_subcubic,
 )
+from deltamin.colouring import NON_DELTA, kempe_path_from
 
 A, B, G, D = Colour.ALPHA, Colour.BETA, Colour.GAMMA, Colour.DELTA
 
@@ -38,6 +40,58 @@ def random_delta_improper(g: Graph, seed: int) -> EdgeColouring:
                     colours[eid] = D
                 else:
                     seen[col] = eid
+
+
+def reference_properize(c: EdgeColouring, branches: dict) -> EdgeColouring:
+    """Frozen copy of the earlier properize: every round rescans the
+    vertices from 0 for the lowest clash and finds the Kempe path in a whole
+    decomposition; the test oracle for the rounds, not a second path in the
+    package.  branches counts the rounds by how they were resolved."""
+    while True:
+        clash = None
+        for v in range(c.graph.vertex_count):
+            deltas = sorted(eid for _, eid in c.graph.adjacency[v] if c.colours[eid] is D)
+            if len(deltas) >= 2:
+                clash = (v, deltas)
+                break
+        if clash is None:
+            return c
+        u, deltas = clash
+        before = c.colour_class(D)
+        c = reference_resolve_clash(c, u, deltas, branches)
+        assert c.colour_class(D) < before
+
+
+def reference_resolve_clash(c: EdgeColouring, u: int, deltas: list, branches: dict) -> EdgeColouring:
+    g = c.graph
+    e1, e2 = deltas[0], deltas[1]
+
+    def other_end(eid):
+        a, b = g.edges[eid]
+        return b if a == u else a
+
+    def missing(v, skip):
+        present = set(c.colours_at(v, skip=skip))
+        return [col for col in NON_DELTA if col not in present]
+
+    if g.degree(u) == 2 or len(deltas) == 3:
+        branches["free"] = branches.get("free", 0) + 1
+        return c.with_colours({e1: missing(other_end(e1), e1)[0]})
+    third = next(eid for _, eid in g.adjacency[u] if eid not in (e1, e2))
+    x = c.colours[third]
+    for eid in (e1, e2):
+        for col in missing(other_end(eid), eid):
+            if col is not x:
+                branches["direct"] = branches.get("direct", 0) + 1
+                return c.with_colours({eid: col})
+    branches["kempe"] = branches.get("kempe", 0) + 1
+    y = next(col for col in NON_DELTA if col is not x)
+    d = kempe_decompose(c, x, y)
+    at_u = d.component_at(u)
+    ends = d.components[at_u].endpoints()
+    far_end = ends[1] if ends[0] == u else ends[0]
+    target = e2 if other_end(e2) != far_end else e1
+    return kempe_swap(c, d, at_u).with_colours({target: x})
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +264,48 @@ def test_kempe_cycles_are_even():
                         assert len(comp.edges) % 2 == 0
 
 
+def test_kempe_path_from_walks_the_decomposition_component():
+    # every vertex that sees exactly one of a pair ends a path component of
+    # that pair; the walk from it is that component, run from that vertex
+    walked = 0
+    for seed in range(30):
+        g = random_subcubic(10 + seed % 25, 500 + seed)
+        c = heuristic_descent(g, seed=seed, max_rounds=seed % 4).witness
+        for x in Colour:
+            for y in Colour:
+                if x is y:
+                    continue
+                dec = kempe_decompose(c, x, y)
+                for v in range(g.vertex_count):
+                    sees = [col for col in c.colours_at(v) if col is x or col is y]
+                    if len(sees) != 1:
+                        with pytest.raises(ContractViolationError):
+                            kempe_path_from(c, v, x, y)
+                        continue
+                    far, path = kempe_path_from(c, v, x, y)
+                    comp = dec.components[dec.component_at(v)]
+                    assert not comp.is_cycle
+                    if comp.vertices[0] == v:
+                        assert (far, tuple(path)) == (comp.vertices[-1], comp.edges)
+                    else:
+                        assert (far, tuple(path)) == (comp.vertices[0], comp.edges[::-1])
+                    walked += 1
+    assert walked > 1000
+
+
+def test_kempe_path_from_guards():
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    c = EdgeColouring(g, [A, A, B])
+    with pytest.raises(DomainError):
+        kempe_path_from(c, 0, A, A)
+    # the walk from 3 reaches the a/a clash at vertex 1
+    with pytest.raises(DomainError):
+        kempe_path_from(c, 3, A, B)
+    # vertex 2 sees both colours, so it ends no path
+    with pytest.raises(ContractViolationError):
+        kempe_path_from(c, 2, A, B)
+
+
 # ---------------------------------------------------------------------------
 # properize
 
@@ -256,3 +352,13 @@ def test_properize_properties_random():
             assert out.colour_class(D) < c.colour_class(D)
         else:
             assert out == c
+
+
+def test_properize_matches_frozen_reference():
+    branches: dict = {}
+    for trial in range(300):
+        g = random_subcubic(4 + trial % 57, 9000 + trial)
+        c = random_delta_improper(g, 31 * trial + 5)
+        assert properize(c).colours == reference_properize(c, branches).colours
+    # the rounds cover all three ways of resolving a clash
+    assert min(branches.get(k, 0) for k in ("free", "direct", "kempe")) >= 20, branches

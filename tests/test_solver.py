@@ -3,12 +3,16 @@
 The exact solver is checked against a test-local brute force over all 4^m
 colourings on small graphs, so the two never share code paths.  Its
 3-edge-colouring search is checked against a frozen copy of the earlier
-recursive backtrack, witness for witness.
+recursive backtrack, witness for witness, and find_two_factor against a
+frozen copy of the backtracking perfect-matching search it replaced.
 """
 
 import itertools
+import random
+from pathlib import Path
 from typing import Optional
 
+import networkx as nx
 import pytest
 
 from deltamin import (
@@ -24,11 +28,15 @@ from deltamin import (
     is_3_edge_colourable,
     lemma1_colouring,
     make_named,
+    parse_graph6,
     random_subcubic,
     resistance_exact,
     solve_exact,
 )
-from deltamin.solver import _matchings_of_size, _three_edge_colouring
+from deltamin.colouring import NON_DELTA, kempe_decompose, kempe_swap, properize
+from deltamin.solver import _greedy_improper, _matchings_of_size, _maximum_matching, _three_edge_colouring
+
+GOLDEN = Path(__file__).parent / "golden"
 
 A, B, G, D = Colour.ALPHA, Colour.BETA, Colour.GAMMA, Colour.DELTA
 
@@ -361,6 +369,124 @@ def test_find_two_factor():
     assert find_two_factor(Graph(4, [(0, 1), (0, 2), (0, 3)])) is None
 
 
+def reference_perfect_matchings(g: Graph):
+    """Frozen copy of the backtracking perfect-matching search that
+    find_two_factor used to take the first result of: lowest uncovered
+    vertex, neighbours in adjacency order.  Exponential on flower snarks."""
+    if g.vertex_count % 2:
+        return
+    covered = [False] * g.vertex_count
+    picked: list = []
+
+    def grow():
+        v = next((u for u in range(g.vertex_count) if not covered[u]), None)
+        if v is None:
+            yield frozenset(picked)
+            return
+        covered[v] = True
+        for w, eid in g.adjacency[v]:
+            if covered[w]:
+                continue
+            covered[w] = True
+            picked.append(eid)
+            yield from grow()
+            picked.pop()
+            covered[w] = False
+        covered[v] = False
+
+    yield from grow()
+
+
+def relabelled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.vertex_count))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in g.edges]
+    rng.shuffle(edges)
+    return Graph(g.vertex_count, edges)
+
+
+def nx_graph(g: Graph) -> nx.Graph:
+    out = nx.Graph()
+    out.add_nodes_from(range(g.vertex_count))
+    out.add_edges_from(g.edges)
+    return out
+
+
+def no_perfect_matching_16() -> Graph:
+    """The smallest connected cubic graph without a perfect matching: a
+    centre joined by bridges to three 5-vertex blocks (K4 with one edge
+    subdivided, the subdivision vertex taking the bridge)."""
+    edges = []
+    for b in range(3):
+        t, p, q, r, s = (1 + 5 * b + i for i in range(5))
+        edges += [(0, t), (t, p), (t, q), (p, r), (p, s), (q, r), (q, s), (r, s)]
+    return Graph(16, edges)
+
+
+def cubic_up_to_12(cubic_corpus) -> list:
+    lines = (GOLDEN / "cubic_12.g6").read_text().split()
+    return [g for n in (4, 6, 8, 10) for g in cubic_corpus[n]] + [parse_graph6(ln) for ln in lines]
+
+
+def test_find_two_factor_matches_backtracking_on_small_cubic(cubic_corpus):
+    rng = random.Random(4)
+    checked = 0
+    for g in cubic_up_to_12(cubic_corpus):
+        for h in [g] + [relabelled(g, rng) for _ in range(3)]:
+            f = find_two_factor(h)
+            assert f is not None
+            assert f.matching == next(reference_perfect_matchings(h))
+            checked += 1
+    assert checked == 4 * (1 + 2 + 5 + 19 + 85)
+
+
+def test_find_two_factor_matches_backtracking_on_flower_snarks():
+    rng = random.Random(5)
+    for k in range(3, 22, 2):
+        g = make_named("flower", k)
+        assert find_two_factor(g).matching == next(reference_perfect_matchings(g))
+        if k <= 11:
+            h = relabelled(g, rng)
+            assert find_two_factor(h).matching == next(reference_perfect_matchings(h))
+
+
+def test_find_two_factor_none_without_perfect_matching():
+    g = no_perfect_matching_16()
+    assert g.is_cubic() and g.is_connected()
+    assert len(nx.max_weight_matching(nx_graph(g), maxcardinality=True)) < 8
+    assert find_two_factor(g) is None
+    assert next(reference_perfect_matchings(g), None) is None
+
+
+@pytest.mark.parametrize("k", [29, 101])
+def test_find_two_factor_large_flower_snarks(k):
+    # J29 took 47 s with the backtracking search
+    g = make_named("flower", k)
+    f = find_two_factor(g)
+    assert nx.is_perfect_matching(nx_graph(g), {g.edges[e] for e in f.matching})
+    assert sum(len(cyc) for cyc in f.cycles) == g.vertex_count
+
+
+def test_maximum_matching_size_matches_networkx():
+    # graphs with odd cycles and unmatched vertices, where blossoms matter
+    for seed in range(150):
+        g = random_subcubic(5 + seed % 60, 3000 + seed)
+        mate = _maximum_matching([[w for w, _ in nbrs] for nbrs in g.adjacency])
+        for v, w in enumerate(mate):
+            assert w == -1 or (mate[w] == v and g.has_edge(v, w))
+        size = sum(1 for w in mate if w != -1) // 2
+        assert size == len(nx.max_weight_matching(nx_graph(g), maxcardinality=True))
+
+
+def test_find_two_factor_on_random_cubic_graphs():
+    for seed in range(40):
+        n = 6 + 2 * (seed % 12)
+        h = nx.random_regular_graph(3, n, seed=seed)
+        g = Graph(n, list(h.edges))
+        f = find_two_factor(g)
+        assert f.matching == next(reference_perfect_matchings(g))
+
+
 def test_two_factor_guards():
     with pytest.raises(DomainError):
         list(enumerate_two_factors(make_named("cycle", 5)))
@@ -469,3 +595,63 @@ def test_heuristic_upper_bounds_exact():
         exact = solve_exact(g).s_value
         heur = heuristic_descent(g, seed=seed)
         assert heur.s_value >= exact
+
+
+def reference_reduce_once(c):
+    """Frozen copy of the earlier _reduce_once, which found each Kempe path
+    in a whole decomposition of the pair."""
+    g = c.graph
+    for e in sorted(c.colour_class(D)):
+        u, v = g.edges[e]
+        at_u = set(c.colours_at(u, skip=e))
+        at_v = set(c.colours_at(v, skip=e))
+        for col in NON_DELTA:
+            if col not in at_u and col not in at_v:
+                return c.with_colours({e: col})
+        for x, y in ((A, B), (A, G), (B, G)):
+            if (x in at_u) == (y in at_u) or (x in at_v) == (y in at_v):
+                continue
+            d = kempe_decompose(c, x, y)
+            iu, iv = d.component_at(u), d.component_at(v)
+            if iu is None or iv is None or iu == iv:
+                continue
+            if d.components[iu].is_cycle or u not in d.components[iu].endpoints():
+                continue
+            swapped = kempe_swap(c, d, iu)
+            want = x if x not in at_v else y
+            if want in set(swapped.colours_at(u, skip=e)):
+                continue
+            return swapped.with_colours({e: want})
+    return None
+
+
+def reference_descent(g: Graph, seed: int, max_rounds: int = 64):
+    """The descent loop of heuristic_descent on reference_reduce_once, with
+    the delta count recounted every round as before."""
+    rng = random.Random(f"descent:{seed}")
+    factor = find_two_factor(g)
+    current = lemma1_colouring(g, factor) if factor is not None else properize(_greedy_improper(g))
+    best = current
+    for _ in range(max_rounds):
+        if best.delta_count() == 0:
+            break
+        improved = reference_reduce_once(current)
+        if improved is not None:
+            current = improved
+        else:
+            x, y = rng.sample(list(Colour), 2)
+            d = kempe_decompose(current, x, y)
+            if not d.components:
+                continue
+            current = kempe_swap(current, d, rng.randrange(len(d.components)))
+        if current.delta_count() < best.delta_count():
+            best = current
+    return best.delta_count(), best.colours
+
+
+def test_heuristic_descent_matches_frozen_reference():
+    graphs = [make_named("flower", k) for k in (5, 7, 9)]
+    graphs += [random_subcubic(20 + 7 * i, 4100 + i) for i in range(40)]
+    for i, g in enumerate(graphs):
+        got = heuristic_descent(g, seed=i, max_rounds=8 + i % 60)
+        assert (got.s_value, got.witness.colours) == reference_descent(g, i, 8 + i % 60)

@@ -1,6 +1,9 @@
 """Delta-edge classification, the shift move, the clause verifier, parity."""
 
 import json
+import random
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -14,16 +17,20 @@ from deltamin import (
     EdgeColouring,
     Graph,
     classify_delta_edges,
+    heuristic_descent,
     kempe_decompose,
     make_named,
     parity_signature,
     parse_graph6,
+    random_subcubic,
     shift_delta,
     solve_exact,
     verify_theorem1,
 )
+from deltamin.structure import ClauseResult, VerificationReport, _joining_edges, _memberships_lenient
 
 A, B, G, D = Colour.ALPHA, Colour.BETA, Colour.GAMMA, Colour.DELTA
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def subdivided_k4() -> tuple[Graph, EdgeColouring]:
@@ -321,3 +328,191 @@ def test_degree_one_endpoint_identity():
         want = 2 * counts[DeltaClass.A] + counts[DeltaClass.B] + counts[DeltaClass.C]
         assert deg1 == want
         assert deg1 % 2 == 0
+
+
+# ---------------------------------------------------------------------------
+# the verifier's scans against frozen copies of the whole-graph versions
+
+
+def reference_joining_edges(c: EdgeColouring, e1: int, e2: int) -> list:
+    """Frozen copy of the earlier O(m) scan: edges with one end on e1 and
+    the other on e2."""
+    g = c.graph
+    ends1, ends2 = set(g.edges[e1]), set(g.edges[e2])
+    out = []
+    for eid, (a, b) in enumerate(g.edges):
+        if eid in (e1, e2):
+            continue
+        if (a in ends1 and b in ends2) or (a in ends2 and b in ends1):
+            out.append(eid)
+    return out
+
+
+def reference_verify(c: EdgeColouring) -> VerificationReport:
+    """Frozen copy of the earlier verify_theorem1 (s_known unset), which
+    scanned every edge per cycle, pair and trio; the test oracle for the
+    report, not a second path in the package.  Memberships come from the
+    package's _memberships_lenient, which is not under test here."""
+    g = c.graph
+    delta_edges = sorted(c.colour_class(D))
+    found = _memberships_lenient(c)
+
+    def cycle_vertices(cycle):
+        verts = set()
+        for eid in cycle:
+            verts.update(g.edges[eid])
+        return verts
+
+    def clause(name, bad, key):
+        return ClauseResult(name, not bad, {key: bad} if bad else None)
+
+    clauses = []
+    bad = []
+    for e in delta_edges:
+        u, v = g.edges[e]
+        if not {A, B, G} <= set(c.colours_at(u, skip=e)) | set(c.colours_at(v, skip=e)):
+            bad.append(e)
+    clauses.append(clause("delta_incidence", bad, "edges"))
+    bad = [e for e in delta_edges
+           if sorted(g.degree(x) for x in g.edges[e]) not in ([2, 3], [3, 3])]
+    clauses.append(clause("degree_pattern", bad, "edges"))
+    clauses.append(clause("classification_total", [e for e in delta_edges if not found[e]], "edges"))
+    bad = []
+    for e in delta_edges:
+        for cls, cycle in found[e].items():
+            if len(cycle) % 2 == 0 or [x for x in cycle if c.colours[x] is D] != [e]:
+                bad.append({"edge": e, "class": cls.value, "length": len(cycle)})
+    clauses.append(clause("cycle_oddness", bad, "cycles"))
+    bad = []
+    for e in delta_edges:
+        for cls, cycle in found[e].items():
+            verts = cycle_vertices(cycle)
+            for eid, (a, b) in enumerate(g.edges):
+                if (a in verts) != (b in verts) and c.colours[eid] is not cls.external_colour:
+                    bad.append({"edge": e, "class": cls.value, "external": eid})
+    clauses.append(clause("external_edge_colour", bad, "edges"))
+    bad = []
+    for e in delta_edges:
+        for cls, cycle in found[e].items():
+            for eid in cycle:
+                a, b = g.edges[eid]
+                if g.degree(a) == 2 and g.degree(b) == 2:
+                    bad.append({"edge": e, "class": cls.value, "vertices": [a, b]})
+    clauses.append(clause("no_consecutive_degree2", bad, "pairs"))
+    bad = []
+    for e1, e2 in combinations(delta_edges, 2):
+        for cyc1 in found[e1].values():
+            for cyc2 in found[e2].values():
+                shared = cycle_vertices(cyc1) & cycle_vertices(cyc2)
+                if shared:
+                    bad.append({"edges": [e1, e2], "vertices": sorted(shared)})
+    clauses.append(clause("cycles_disjoint", bad, "pairs"))
+    counts = {cls.value: 0 for cls in DeltaClass}
+    for e in delta_edges:
+        for cls in found[e]:
+            counts[cls.value] += 1
+    if g.is_cubic():
+        values = [counts["A"], counts["B"], counts["C"], len(delta_edges)]
+        ok = len({v % 2 for v in values}) == 1
+        clauses.append(ClauseResult(
+            "parity_congruence", ok, None if ok else {"counts": dict(counts), "target": len(delta_edges)}
+        ))
+    else:
+        clauses.append(ClauseResult("parity_congruence", True, None))
+    bad = []
+    for e1, e2 in combinations(delta_edges, 2):
+        if not found[e1] or not found[e2]:
+            continue
+        joining = reference_joining_edges(c, e1, e2)
+        if len(joining) > (1 if set(found[e1]) & set(found[e2]) else 0):
+            bad.append({"edges": [e1, e2], "joining": joining})
+    clauses.append(clause("pair_interaction", bad, "pairs"))
+    bad = []
+    for cls in DeltaClass:
+        members = [e for e in delta_edges if cls in found[e]]
+        for trio in combinations(members, 3):
+            verts = set()
+            for e in trio:
+                verts.update(g.edges[e])
+            induced = [eid for eid, (a, b) in enumerate(g.edges) if a in verts and b in verts]
+            if len(induced) > 4:
+                bad.append({"edges": list(trio), "class": cls.value, "induced": induced})
+    clauses.append(clause("triple_interaction", bad, "triples"))
+    strong = all(not reference_joining_edges(c, e1, e2) for e1, e2 in combinations(delta_edges, 2))
+    clauses.append(ClauseResult("strong_matching_flag", True, None))
+    return VerificationReport(tuple(clauses), len(delta_edges), counts, strong)
+
+
+def heuristic_witnesses() -> list:
+    """100 seeded proper colourings from the heuristic path, stopped after
+    0 to 63 descent rounds so that many are far from minimum; most also get
+    a few edges with delta-free neighbourhoods recoloured delta."""
+    out = []
+    for seed in range(100):
+        g = random_subcubic(6 + seed % 40, 700 + seed)
+        colours = list(heuristic_descent(g, seed=seed, max_rounds=(seed * 7) % 64).witness.colours)
+        rng = random.Random(seed)
+        for _ in range(seed % 8):
+            e = rng.randrange(g.edge_count)
+            if all(colours[f] is not D for x in g.edges[e] for _, f in g.adjacency[x]):
+                colours[e] = D
+        out.append(EdgeColouring(g, colours))
+    return out
+
+
+def random_proper_colourings(count: int) -> list:
+    """Seeded random proper 4-edge-colourings of small subcubic graphs; rare
+    clause failures, such as triple_interaction, show up among these."""
+    out = []
+    for seed in range(count):
+        rng = random.Random(seed)
+        g = random_subcubic(rng.randrange(6, 11), seed)
+        used: list = [set() for _ in range(g.vertex_count)]
+        colours = []
+        for u, v in g.edges:
+            free = [col for col in Colour if col not in used[u] and col not in used[v]]
+            if not free:
+                break
+            colours.append(rng.choice(free))
+            used[u].add(colours[-1])
+            used[v].add(colours[-1])
+        else:
+            out.append(EdgeColouring(g, colours))
+    return out
+
+
+def test_joining_edges_matches_whole_graph_scan():
+    pairs = joined = 0
+    for seed in range(50):
+        g = random_subcubic(6 + seed % 30, 1200 + seed)
+        c = EdgeColouring(g, [A] * g.edge_count)  # the scan reads the graph only
+        for e1 in range(g.edge_count):
+            for e2 in range(g.edge_count):
+                if e1 != e2:
+                    got = _joining_edges(c, e1, e2)
+                    assert got == reference_joining_edges(c, e1, e2)
+                    pairs += 1
+                    joined += bool(got)
+    assert 1000 < joined < pairs
+
+
+def test_verify_matches_frozen_reference_on_seeded_witnesses():
+    failing = set()
+    for c in heuristic_witnesses() + random_proper_colourings(4000):
+        report = verify_theorem1(c)
+        assert report.to_json() == reference_verify(c).to_json()
+        failing.update(cl.clause_id for cl in report.clauses if not cl.passed)
+    # the clauses whose scans changed all report witnesses somewhere
+    assert {"external_edge_colour", "cycles_disjoint", "pair_interaction",
+            "triple_interaction"} <= failing
+
+
+def test_verify_matches_frozen_reference_on_golden_corpus():
+    graphs = (GOLDEN / "analyze_heuristic.g6").read_text().split()
+    records = [json.loads(ln) for ln in (GOLDEN / "analyze_heuristic.jsonl").read_text().splitlines()]
+    assert len(graphs) == len(records) == 6
+    for g6, rec in zip(graphs, records):
+        c = EdgeColouring(parse_graph6(g6), [Colour.from_code(x) for x in rec["colours"]])
+        report = verify_theorem1(c)
+        assert report.to_json() == reference_verify(c).to_json()
+        assert json.loads(report.to_json()) == rec["verification"]
