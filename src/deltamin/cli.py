@@ -12,15 +12,14 @@ byte-stable for a fixed (input, config, seed).
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import json
 import logging
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Optional, TextIO
+from typing import Iterable, Iterator, Optional, TextIO
 
 from . import graphs as graphlib
 from .colouring import Colour, ColouringKind, EdgeColouring, properize
@@ -28,6 +27,7 @@ from .errors import DeltaMinError, GraphFormatError
 from .graphs import Graph, emit_graph6, enumerate_cubic, make_named, parse_edge_list, parse_graph6, random_subcubic
 from .solver import (
     Method,
+    SolveResult,
     enumerate_two_factors,
     heuristic_descent,
     resistance_exact,
@@ -86,31 +86,42 @@ def _parse_payload(payload: str, fmt: str) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# solve
+# solve and analyze: one pipeline that parses, solves and renders each graph
+
+# One graph's output text (empty for a failed graph outside JSON), its error
+# message or None, and whether it passed (for analyze: every clause holds).
+Output = tuple[str, Optional[str], bool]
+
+_DOT_EDGE_STYLE = {
+    Colour.ALPHA: 'color="#1b9e77"',
+    Colour.BETA: 'color="#7570b3"',
+    Colour.GAMMA: 'color="#66a61e"',
+    Colour.DELTA: 'color="#d95f02",style=bold,penwidth=3',
+}
 
 
-Edges = tuple[tuple[int, int], ...]
+def _json_line(rec: dict) -> str:
+    return json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _solve_one(task: tuple[int, str, str, int, int, bool]) -> tuple[dict, Optional[Edges]]:
-    """One graph's record, plus its edges when keep_edges asks for them
-    (DOT output draws them, and the graph is parsed only here)."""
-    index, payload, fmt, exact_limit, seed, keep_edges = task
-    try:
-        g = _parse_payload(payload, fmt)
-    except GraphFormatError as exc:
-        return {"index": index, "error": str(exc), "offset": exc.offset}, None
-    except DeltaMinError as exc:
-        return {"index": index, "error": str(exc), "offset": None}, None
-    return _solve_graph(index, g, exact_limit, seed), (g.edges if keep_edges else None)
+def _dot_block(index: int, g: Graph, result: SolveResult) -> str:
+    stats = f"n={g.vertex_count} m={g.edge_count} s={result.s_value} method={result.method.value}"
+    edges = zip(g.edges, result.witness.colours)
+    body = "".join(f"  {u} -- {v} [{_DOT_EDGE_STYLE[c]}];\n" for (u, v), c in edges)
+    return f"graph g{index} {{\n  // {stats}\n{body}}}\n"
 
 
-def _solve_graph(index: int, g: Graph, exact_limit: int, seed: int) -> dict:
-    if g.vertex_count <= exact_limit:
+def _render(cfg: RunConfig, index: int, g: Graph) -> Output:
+    if g.vertex_count <= cfg.exact_limit:
         result = solve_exact(g)
     else:
-        result = heuristic_descent(g, seed=seed)
-    return {
+        result = heuristic_descent(g, seed=cfg.seed)
+    if cfg.output == "csv":
+        row = f"g{index},{g.vertex_count},{g.edge_count},{result.s_value},{result.method.value}\n"
+        return row, None, True
+    if cfg.output == "dot":
+        return _dot_block(index, g, result), None, True
+    rec = {
         "index": index,
         "n": g.vertex_count,
         "m": g.edge_count,
@@ -118,63 +129,84 @@ def _solve_graph(index: int, g: Graph, exact_limit: int, seed: int) -> dict:
         "method": result.method.value,
         "colours": [c.value for c in result.witness.colours],
     }
+    if cfg.command != "analyze":
+        return _json_line(rec), None, True
+    report = verify_theorem1(result.witness)
+    parity = None
+    if g.is_cubic() and result.method is Method.EXACT and result.s_value > 0:
+        sig = parity_signature(classify_delta_edges(result.witness))
+        parity = {"counts": list(sig.counts), "parity_ok": sig.parity_ok}
+    rec["verification"] = json.loads(report.to_json())
+    rec["parity"] = parity
+    return _json_line(rec), None, report.all_pass
 
 
-def _records_for(cfg: RunConfig, payloads: list[tuple[int, str]]) -> list[tuple[dict, Optional[Edges]]]:
-    keep_edges = cfg.output == "dot"
-    tasks = [(i, p, cfg.format, cfg.exact_limit, cfg.seed, keep_edges) for i, p in payloads]
-    if cfg.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            return list(pool.map(_solve_one, tasks))
-    return [_solve_one(t) for t in tasks]
+def _error_output(cfg: RunConfig, index: int, message: str, offset: Optional[int]) -> Output:
+    rec: dict = {"index": index, "error": message}
+    if cfg.command != "analyze":
+        rec["offset"] = offset
+    return (_json_line(rec) if cfg.output == "json" else ""), message, False
 
 
-_DOT_EDGE_STYLE = {
-    "a": 'color="#1b9e77"',
-    "b": 'color="#7570b3"',
-    "g": 'color="#66a61e"',
-    "d": 'color="#d95f02",style=bold,penwidth=3',
-}
+def _graph_output(cfg: RunConfig, index: int, payload: str) -> Output:
+    try:
+        g = _parse_payload(payload, cfg.format)
+    except GraphFormatError as exc:
+        return _error_output(cfg, index, str(exc), exc.offset)
+    except DeltaMinError as exc:
+        return _error_output(cfg, index, str(exc), None)
+    try:
+        return _render(cfg, index, g)
+    except Exception as exc:  # one graph's failure must not lose the rest of the batch
+        log.exception("graph %d", index)
+        return _error_output(cfg, index, f"{type(exc).__name__}: {exc}", None)
 
 
-def _emit_dot(record: dict, edges: Edges, out: TextIO) -> None:
-    colours = record.get("colours")
-    out.write(f'graph g{record["index"]} {{\n')
-    out.write(f'  // n={record["n"]} m={record["m"]} s={record["s"]} method={record["method"]}\n')
-    for eid, (u, v) in enumerate(edges):
-        style = _DOT_EDGE_STYLE[colours[eid]] if colours else ""
-        suffix = f" [{style}]" if style else ""
-        out.write(f"  {u} -- {v}{suffix};\n")
-    out.write("}\n")
+def _run_chunk(cfg: RunConfig, chunk: list[tuple[int, str]]) -> list[Output]:
+    return [_graph_output(cfg, index, payload) for index, payload in chunk]
 
 
-def _write_records(cfg: RunConfig, results: list[tuple[dict, Optional[Edges]]], out: TextIO) -> None:
-    if cfg.output == "json":
-        for rec, _ in results:
-            out.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+def _chunk_outputs(cfg: RunConfig, chunks: list[list[tuple[int, str]]]) -> Iterator[list[Output]]:
+    run = functools.partial(_run_chunk, cfg)
+    if cfg.jobs == 1 or len(chunks) < 2:
+        yield from map(run, chunks)
         return
-    if cfg.output == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["name", "n", "m", "s", "method"])
-        for rec, _ in results:
-            if "error" in rec:
-                continue
-            writer.writerow([f'g{rec["index"]}', rec["n"], rec["m"], rec["s"], rec["method"]])
-        return
-    for rec, edges in results:
-        if "error" in rec:
-            continue
-        _emit_dot(rec, edges, out)
+    # imported here so that runs without a pool do not pay for it
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        yield from pool.map(run, chunks)
+
+
+def _run_batch(cfg: RunConfig, payloads: list[tuple[int, str]], out: TextIO) -> int:
+    """Every graph through parse, solve and render, in contiguous chunks,
+    about four per worker (a process pool when --jobs is above 1).  Chunks
+    are written in input order and each graph's text depends only on its
+    payload and the config, so output does not depend on --jobs."""
+    size = -(-len(payloads) // (4 * cfg.jobs)) or 1
+    chunks = [payloads[i:i + size] for i in range(0, len(payloads), size)]
+    status = 0
+    for chunk, outputs in zip(chunks, _chunk_outputs(cfg, chunks)):
+        for (index, _), (text, error, passed) in zip(chunk, outputs):
+            out.write(text)
+            if error is not None:
+                log.error("graph %d: %s", index, error)
+            if not passed:
+                status = 1
+    return status
 
 
 def cmd_solve(cfg: RunConfig, out: Optional[TextIO] = None) -> int:
     out = out if out is not None else sys.stdout
-    results = _records_for(cfg, _load_graphs(cfg))
-    _write_records(cfg, results, out)
-    failures = [rec for rec, _ in results if "error" in rec]
-    for rec in failures:
-        log.error("graph %d: %s", rec["index"], rec["error"])
-    return 1 if failures else 0
+    payloads = _load_graphs(cfg)
+    if cfg.output == "csv":
+        out.write("name,n,m,s,method\n")
+    return _run_batch(cfg, payloads, out)
+
+
+def cmd_analyze(cfg: RunConfig, out: Optional[TextIO] = None) -> int:
+    """Solve, verify the witness, and report parity in one record per graph."""
+    return _run_batch(cfg, _load_graphs(cfg), out if out is not None else sys.stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -196,48 +228,12 @@ def cmd_verify(cfg: RunConfig, colouring_path: str, out: Optional[TextIO] = None
             colouring = EdgeColouring.from_json(g, colour_lines[pos])
             report = verify_theorem1(colouring)
         except DeltaMinError as exc:
-            out.write(json.dumps(
-                {"index": index, "error": str(exc)}, sort_keys=True, separators=(",", ":")
-            ) + "\n")
+            out.write(_json_line({"index": index, "error": str(exc)}))
             status = 1
             continue
         payload_out = json.loads(report.to_json())
         payload_out["index"] = index
-        out.write(json.dumps(payload_out, sort_keys=True, separators=(",", ":")) + "\n")
-        if not report.all_pass:
-            status = 1
-    return status
-
-
-# ---------------------------------------------------------------------------
-# analyze
-
-
-def cmd_analyze(cfg: RunConfig, out: Optional[TextIO] = None) -> int:
-    """Solve, verify the witness, and report parity in one record per graph."""
-    out = out if out is not None else sys.stdout
-    payloads = _load_graphs(cfg)
-    status = 0
-    for index, payload in payloads:
-        try:
-            g = _parse_payload(payload, cfg.format)
-        except DeltaMinError as exc:
-            out.write(json.dumps(
-                {"index": index, "error": str(exc)}, sort_keys=True, separators=(",", ":")
-            ) + "\n")
-            status = 1
-            continue
-        rec = _solve_graph(index, g, cfg.exact_limit, cfg.seed)
-        g_colours = [Colour.from_code(c) for c in rec["colours"]]
-        witness = EdgeColouring(g, g_colours)
-        report = verify_theorem1(witness)
-        parity = None
-        if g.is_cubic() and rec["method"] == Method.EXACT.value and rec["s"] > 0:
-            sig = parity_signature(classify_delta_edges(witness))
-            parity = {"counts": list(sig.counts), "parity_ok": sig.parity_ok}
-        rec["verification"] = json.loads(report.to_json())
-        rec["parity"] = parity
-        out.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+        out.write(_json_line(payload_out))
         if not report.all_pass:
             status = 1
     return status

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from deltamin import emit_edge_list, emit_graph6, make_named, parse_graph6, solve_exact
+from deltamin import cli
 from deltamin.cli import RunConfig, cmd_analyze, cmd_solve, cmd_suite, cmd_verify, main
 
 PETERSEN_G6 = emit_graph6(make_named("petersen"))
@@ -125,6 +126,71 @@ def test_solve_dot_matches_golden(capsys, jobs):
     code, out, _ = run_main(["solve", path, "--out", "dot", "--jobs", jobs], capsys=capsys)
     assert code == 1  # the corrupt line
     assert out.encode("ascii") == (GOLDEN / "solve_dot.dot").read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2", "3"])
+@pytest.mark.parametrize("fmt, golden", [("json", "solve_batch.jsonl"), ("csv", "solve_batch.csv")])
+def test_solve_batch_matches_golden(capsys, fmt, golden, jobs):
+    # the 19 cubic graphs on 10 vertices, 40 seeded random subcubic graphs
+    # on 4-30 vertices (exact and heuristic), a corrupt line and Petersen;
+    # --jobs 3 splits the 61 graphs into uneven chunks
+    path = str(GOLDEN / "solve_batch.g6")
+    code, out, _ = run_main(["solve", path, "--out", fmt, "--jobs", jobs], capsys=capsys)
+    assert code == 1  # the corrupt line
+    assert out.encode("ascii") == (GOLDEN / golden).read_bytes()
+
+
+def _failing_on_petersen(real_solve, exc):
+    def solve(g):
+        if g.vertex_count == 10:
+            raise exc
+        return real_solve(g)
+
+    return solve
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "exc", [RuntimeError("boom"), RecursionError("too deep"), MemoryError()], ids=lambda e: type(e).__name__
+)
+def test_solve_isolates_a_failing_graph(tmp_path, capsys, caplog, monkeypatch, exc, jobs):
+    # workers fork, so they inherit the patched solver; the failure becomes
+    # that graph's record and the graphs around it, in its chunk too (3 per
+    # chunk with --jobs 1, 2 with --jobs 2), still come out in order
+    monkeypatch.setattr(cli, "solve_exact", _failing_on_petersen(cli.solve_exact, exc))
+    lines = ["C~"] * 4 + [PETERSEN_G6, emit_graph6(make_named("k33"))] + ["C~"] * 3
+    path = write(tmp_path, "in.g6", "".join(ln + "\n" for ln in lines))
+    code, out, _ = run_main(["solve", path, "--jobs", jobs], capsys=capsys)
+    assert code == 1
+    recs = [json.loads(ln) for ln in out.splitlines()]
+    assert [r["index"] for r in recs] == list(range(9))
+    assert recs[4] == {"index": 4, "error": f"{type(exc).__name__}: {exc}", "offset": None}
+    assert [r["s"] for r in recs if "s" in r] == [0] * 8
+    assert f"graph 4: {type(exc).__name__}" in caplog.text
+
+
+def test_solve_does_not_catch_keyboard_interrupt(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "solve_exact", _failing_on_petersen(cli.solve_exact, KeyboardInterrupt()))
+    path = write(tmp_path, "in.g6", "C~\n" + PETERSEN_G6 + "\n")
+    with pytest.raises(KeyboardInterrupt):
+        main(["solve", path])
+    capsys.readouterr()
+
+
+def test_solve_builds_no_pool_without_work(tmp_path):
+    # empty input and --jobs 1 never import the process pool
+    empty = write(tmp_path, "empty.g6", "")
+    one = write(tmp_path, "one.g6", "C~\n")
+    script = (
+        "import sys\n"
+        "from deltamin.cli import main\n"
+        f"main(['solve', {empty!r}, '--jobs', '2'])\n"
+        f"main(['solve', {one!r}, '--jobs', '1'])\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_solve_heuristic_above_exact_limit(tmp_path, capsys, monkeypatch):
@@ -258,6 +324,32 @@ def test_analyze_heuristic_matches_golden(capsys):
     code, out, _ = run_main(["analyze", path, "--exact-limit", "14"], capsys=capsys)
     assert code == 1
     assert out.encode("ascii") == (GOLDEN / "analyze_heuristic.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2", "3"])
+@pytest.mark.parametrize("corpus, golden", [
+    ("analyze_heuristic.g6", "analyze_heuristic.jsonl"),
+    ("solve_batch.g6", "analyze_batch.jsonl"),
+])
+def test_analyze_matches_golden_for_any_jobs(capsys, corpus, golden, jobs):
+    # analyze shares the chunked pipeline: its records, the error record of
+    # the corrupt line (no offset key) included, do not depend on --jobs
+    path = str(GOLDEN / corpus)
+    code, out, _ = run_main(["analyze", path, "--exact-limit", "14", "--jobs", jobs], capsys=capsys)
+    assert code == 1
+    assert out.encode("ascii") == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_analyze_isolates_a_failing_graph(tmp_path, capsys, monkeypatch, jobs):
+    monkeypatch.setattr(cli, "solve_exact", _failing_on_petersen(cli.solve_exact, RuntimeError("boom")))
+    lines = ["C~"] * 4 + [PETERSEN_G6] + ["C~"] * 4
+    path = write(tmp_path, "in.g6", "".join(ln + "\n" for ln in lines))
+    code, out, _ = run_main(["analyze", path, "--jobs", jobs], capsys=capsys)
+    assert code == 1
+    recs = [json.loads(ln) for ln in out.splitlines()]
+    assert recs[4] == {"index": 4, "error": "RuntimeError: boom"}
+    assert [r["s"] for r in recs if "s" in r] == [0] * 8
 
 
 def test_analyze_bad_line_errors(tmp_path, capsys, monkeypatch):
