@@ -68,15 +68,21 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _load_graphs(cfg: RunConfig) -> list[tuple[int, str]]:
-    """Raw per-graph payloads: (index, text).  graph6 inputs hold one graph
+# One graph's input: its index, its raw text, and for verify its colouring
+# line (None when the colouring file has no line for it, and for the other
+# commands).
+Item = tuple[int, str, Optional[str]]
+
+
+def _load_graphs(cfg: RunConfig) -> list[Item]:
+    """Raw per-graph items, without colourings.  graph6 inputs hold one graph
     per non-blank line; an edge-list file holds a single graph."""
     text = _read_text(cfg.input_path or "-")
     if cfg.format == "graph6":
-        return [(i, line) for i, line in enumerate(
+        return [(i, line, None) for i, line in enumerate(
             ln for ln in text.splitlines() if ln.strip()
         )]
-    return [(0, text)]
+    return [(0, text, None)]
 
 
 def _parse_payload(payload: str, fmt: str) -> Graph:
@@ -86,7 +92,8 @@ def _parse_payload(payload: str, fmt: str) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# solve and analyze: one pipeline that parses, solves and renders each graph
+# solve, analyze and verify: one pipeline that parses, solves or verifies, and
+# renders each graph
 
 # One graph's output text (empty for a failed graph outside JSON), its error
 # message or None, and whether it passed (for analyze: every clause holds).
@@ -141,14 +148,26 @@ def _render(cfg: RunConfig, index: int, g: Graph) -> Output:
     return _json_line(rec), None, report.all_pass
 
 
+def _verify_output(cfg: RunConfig, index: int, g: Graph, colouring: Optional[str]) -> Output:
+    if colouring is None:
+        return _error_output(cfg, index, "no colouring line for this graph", None)
+    try:
+        report = verify_theorem1(EdgeColouring.from_json(g, colouring))
+    except DeltaMinError as exc:
+        return _error_output(cfg, index, str(exc), None)
+    rec = json.loads(report.to_json())
+    rec["index"] = index
+    return _json_line(rec), None, report.all_pass
+
+
 def _error_output(cfg: RunConfig, index: int, message: str, offset: Optional[int]) -> Output:
     rec: dict = {"index": index, "error": message}
-    if cfg.command != "analyze":
+    if cfg.command == "solve":
         rec["offset"] = offset
     return (_json_line(rec) if cfg.output == "json" else ""), message, False
 
 
-def _graph_output(cfg: RunConfig, index: int, payload: str) -> Output:
+def _graph_output(cfg: RunConfig, index: int, payload: str, colouring: Optional[str]) -> Output:
     try:
         g = _parse_payload(payload, cfg.format)
     except GraphFormatError as exc:
@@ -156,17 +175,19 @@ def _graph_output(cfg: RunConfig, index: int, payload: str) -> Output:
     except DeltaMinError as exc:
         return _error_output(cfg, index, str(exc), None)
     try:
+        if cfg.command == "verify":
+            return _verify_output(cfg, index, g, colouring)
         return _render(cfg, index, g)
     except Exception as exc:  # one graph's failure must not lose the rest of the batch
         log.exception("graph %d", index)
         return _error_output(cfg, index, f"{type(exc).__name__}: {exc}", None)
 
 
-def _run_chunk(cfg: RunConfig, chunk: list[tuple[int, str]]) -> list[Output]:
-    return [_graph_output(cfg, index, payload) for index, payload in chunk]
+def _run_chunk(cfg: RunConfig, chunk: list[Item]) -> list[Output]:
+    return [_graph_output(cfg, *item) for item in chunk]
 
 
-def _chunk_outputs(cfg: RunConfig, chunks: list[list[tuple[int, str]]]) -> Iterator[list[Output]]:
+def _chunk_outputs(cfg: RunConfig, chunks: list[list[Item]]) -> Iterator[list[Output]]:
     run = functools.partial(_run_chunk, cfg)
     if cfg.jobs == 1 or len(chunks) < 2:
         yield from map(run, chunks)
@@ -178,16 +199,16 @@ def _chunk_outputs(cfg: RunConfig, chunks: list[list[tuple[int, str]]]) -> Itera
         yield from pool.map(run, chunks)
 
 
-def _run_batch(cfg: RunConfig, payloads: list[tuple[int, str]], out: TextIO) -> int:
-    """Every graph through parse, solve and render, in contiguous chunks,
-    about four per worker (a process pool when --jobs is above 1).  Chunks
-    are written in input order and each graph's text depends only on its
-    payload and the config, so output does not depend on --jobs."""
-    size = -(-len(payloads) // (4 * cfg.jobs)) or 1
-    chunks = [payloads[i:i + size] for i in range(0, len(payloads), size)]
+def _run_batch(cfg: RunConfig, items: list[Item], out: TextIO) -> int:
+    """Every graph through parse, solve or verify, and render, in contiguous
+    chunks, about four per worker (a process pool when --jobs is above 1).
+    Chunks are written in input order and each graph's text depends only on
+    its item and the config, so output does not depend on --jobs."""
+    size = -(-len(items) // (4 * cfg.jobs)) or 1
+    chunks = [items[i:i + size] for i in range(0, len(items), size)]
     status = 0
     for chunk, outputs in zip(chunks, _chunk_outputs(cfg, chunks)):
-        for (index, _), (text, error, passed) in zip(chunk, outputs):
+        for (index, _, _), (text, error, passed) in zip(chunk, outputs):
             out.write(text)
             if error is not None:
                 log.error("graph %d: %s", index, error)
@@ -214,29 +235,18 @@ def cmd_analyze(cfg: RunConfig, out: Optional[TextIO] = None) -> int:
 
 
 def cmd_verify(cfg: RunConfig, colouring_path: str, out: Optional[TextIO] = None) -> int:
-    out = out if out is not None else sys.stdout
-    payloads = _load_graphs(cfg)
+    """Check each graph's colouring, given by the line at the same position
+    in the colouring file, against every structural clause."""
+    items = _load_graphs(cfg)
     colour_lines = [
         ln for ln in _read_text(colouring_path).splitlines() if ln.strip()
     ]
-    status = 0
-    for pos, (index, payload) in enumerate(payloads):
-        try:
-            g = _parse_payload(payload, cfg.format)
-            if pos >= len(colour_lines):
-                raise DeltaMinError("no colouring line for this graph")
-            colouring = EdgeColouring.from_json(g, colour_lines[pos])
-            report = verify_theorem1(colouring)
-        except DeltaMinError as exc:
-            out.write(_json_line({"index": index, "error": str(exc)}))
-            status = 1
-            continue
-        payload_out = json.loads(report.to_json())
-        payload_out["index"] = index
-        out.write(_json_line(payload_out))
-        if not report.all_pass:
-            status = 1
-    return status
+    # an item's index is its position in the input
+    items = [
+        (index, payload, colour_lines[index] if index < len(colour_lines) else None)
+        for index, payload, _ in items
+    ]
+    return _run_batch(cfg, items, out if out is not None else sys.stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +390,7 @@ def cmd_suite(cfg: RunConfig, out: Optional[TextIO] = None) -> int:
     out = out if out is not None else sys.stdout
     out.write(
         "deltamin suite | enumeration: isomorphism-free "
-        "(breadth-first-ordered generation, exact-isomorphism dedup) | "
+        "(orderly breadth-first generation) | "
         f"seed={cfg.seed} exact-limit={cfg.exact_limit}\n"
     )
     status = 0

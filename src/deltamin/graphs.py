@@ -35,8 +35,8 @@ class Graph:
     insertion order; the index of an edge in ``edges`` is its id.
     """
 
-    # _iso holds the isomorphism invariants once isomorphic() or
-    # enumerate_cubic() has computed them (see _iso_invariants)
+    # _iso holds the isomorphism invariants once isomorphic() has computed
+    # them (see _iso_invariants)
     __slots__ = ("vertex_count", "edges", "adjacency", "_edge_ids", "_iso")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
@@ -444,65 +444,11 @@ def random_subcubic(n: int, seed: int) -> Graph:
 # exhaustive generation of connected cubic graphs
 
 
-def _bfs_ordered_cubic_edge_sets(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Candidate edge sets for connected cubic graphs on n vertices.
-
-    Vertices are introduced in discovery order: vertex 0 is completed first
-    (forcing N(0) = {1,2,3}), each later vertex first appears as a fresh
-    neighbour of the lowest not-yet-completed vertex.  Every connected cubic
-    graph has a labelling of this shape (relabel by breadth-first search),
-    so the stream covers all isomorphism classes, with many duplicates.
-    """
-    deg = [0] * n
-    adjmask = [0] * n
-    edges: list[tuple[int, int]] = []
-
-    def complete(i: int, introduced: int) -> Iterator[tuple[tuple[int, int], ...]]:
-        if i == n:
-            yield tuple(edges)
-            return
-        need = MAX_DEGREE - deg[i]
-        old = [
-            j
-            for j in range(i + 1, introduced)
-            if deg[j] < MAX_DEGREE and not (adjmask[i] >> j) & 1
-        ]
-        max_new = min(need, n - introduced)
-        for new_count in range(max_new + 1):
-            for chosen in combinations(old, need - new_count):
-                fresh = range(introduced, introduced + new_count)
-                partners = list(chosen) + list(fresh)
-                for j in partners:
-                    edges.append((i, j))
-                    deg[i] += 1
-                    deg[j] += 1
-                    adjmask[i] |= 1 << j
-                    adjmask[j] |= 1 << i
-                nxt = introduced + new_count
-                # the next vertex to complete must already exist, and while
-                # vertices remain uninstantiated some completed-side slack
-                # must remain to introduce them
-                viable = i + 1 == n or i + 1 < nxt
-                if viable and nxt < n:
-                    slack = sum(MAX_DEGREE - deg[j] for j in range(i + 1, nxt))
-                    viable = slack > 0
-                if viable:
-                    yield from complete(i + 1, nxt)
-                for j in reversed(partners):
-                    edges.pop()
-                    deg[i] -= 1
-                    deg[j] -= 1
-                    adjmask[i] &= ~(1 << j)
-                    adjmask[j] &= ~(1 << i)
-
-    yield from complete(0, 1)
-
-
 class _IsoInvariants(NamedTuple):
     """Isomorphism invariants of one graph and its search order, computed
     once by _iso_invariants."""
 
-    key: tuple  # bucket key: equal for isomorphic graphs
+    key: tuple  # quick-reject key: equal for isomorphic graphs
     masks: list[int]  # adjacency bitmask of each vertex
     classes: dict[int, int]  # vertex label -> bitmask of the vertices carrying it
     # the vertices in search order, by depth: label, the depth of the
@@ -618,9 +564,8 @@ def isomorphic(g1: Graph, g2: Graph) -> bool:
     classes, search order) are computed once per graph and kept on it, so
     repeated tests against one graph reuse them.  They only prune: the
     answer comes from a backtracking search, over a breadth-first order of
-    g1, for a bijection that preserves adjacency, so answers (and the dedup
-    decisions of enumerate_cubic) are those of recomputing the invariants in
-    every call.  The search runs on an explicit stack, so it has no
+    g1, for a bijection that preserves adjacency, so answers are those of
+    recomputing the invariants in every call.  The search runs on an explicit stack, so it has no
     recursion-depth limit.
     """
     n = g1.vertex_count
@@ -675,27 +620,28 @@ def isomorphic(g1: Graph, g2: Graph) -> bool:
 
 def enumerate_cubic(n: int) -> Iterator[Graph]:
     """Yield every connected cubic graph on n vertices, one per isomorphism
-    class (isomorphism-free enumeration: breadth-first-ordered candidate
-    generation deduplicated by an exact isomorphism test).
+    class (isomorphism-free enumeration by orderly generation).
 
-    Each candidate's invariants are computed once and serve both as its
-    bucket key and in every isomorphism test against the representatives
-    kept in that bucket, which keep theirs for the whole enumeration.  Since
-    the test is exact and the key is an invariant, the dedup decisions, and
-    so the graphs yielded and their order, are those of recomputing the
-    invariants in every test.
+    Order contract: each class is yielded as its least breadth-first
+    labelling (see deltamin.orderly), which is the first of its
+    labellings in the breadth-first candidate stream, and classes come in
+    the order of those first labellings.  This is exactly what deduplicating
+    the stream by an exact isomorphism test, keeping first occurrences,
+    yields; no pairwise test is made.
 
-    n must be even and between 4 and 14.
+    Cost: the candidate tree is pruned as soon as a prefix is beaten, and
+    almost all the time goes to the relabelling search.  On one core of a
+    2-vCPU Xeon with CPython 3.11, n=12 (85 graphs) takes about 0.09 s,
+    n=14 (509) 0.55 s and n=16 (4060) 4 s.
+
+    n must be even and between 4 and 16.
     """
-    if not 4 <= n <= 14:
-        raise DomainError("cubic enumeration supports 4 <= n <= 14")
+    if not 4 <= n <= 16:
+        raise DomainError("cubic enumeration supports 4 <= n <= 16")
     if n % 2:
         raise DomainError("no cubic graph has an odd vertex count")
-    buckets: dict[tuple, list[Graph]] = {}
-    for edge_set in _bfs_ordered_cubic_edge_sets(n):
-        g = Graph(n, edge_set)
-        bucket = buckets.setdefault(_iso_invariants(g).key, [])
-        if any(isomorphic(g, seen) for seen in bucket):
-            continue
-        bucket.append(g)
-        yield g
+    # imported here so that commands that never enumerate do not load it
+    from .orderly import orderly_cubic_edge_sets
+
+    for edge_set in orderly_cubic_edge_sets(n):
+        yield Graph(n, edge_set)

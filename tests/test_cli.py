@@ -292,6 +292,43 @@ def test_verify_clause_failure_has_witness(tmp_path, capsys, monkeypatch):
     assert all(cl["witness"] is None for cl in passing)
 
 
+@pytest.mark.parametrize("jobs", ["1", "2", "3"])
+def test_verify_batch_matches_golden(capsys, jobs):
+    # witnesses, a failing clause, malformed and improper colourings, a
+    # truncated graph6 line and two graphs without a colouring line
+    argv = [
+        "verify", str(GOLDEN / "verify_batch.g6"),
+        "--colouring", str(GOLDEN / "verify_batch_colouring.jsonl"), "--jobs", jobs,
+    ]
+    code, out, _ = run_main(argv, capsys=capsys)
+    assert code == 1
+    assert out.encode("ascii") == (GOLDEN / "verify_batch.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_isolates_a_failing_graph(tmp_path, capsys, monkeypatch, jobs):
+    real_verify = cli.verify_theorem1
+
+    def verify(colouring):
+        if colouring.graph.vertex_count == 4:
+            raise RuntimeError("boom")
+        return real_verify(colouring)
+
+    monkeypatch.setattr(cli, "verify_theorem1", verify)
+    grf = write(tmp_path, "in.g6", "C~\n" + PETERSEN_G6 + "\n")
+    col = write(
+        tmp_path,
+        "colours.jsonl",
+        witness_line("C~") + "\n" + witness_line(PETERSEN_G6) + "\n",
+    )
+    code, out, _ = run_main(["verify", grf, "--colouring", col, "--jobs", jobs], capsys=capsys)
+    assert code == 1
+    recs = [json.loads(ln) for ln in out.splitlines()]
+    assert recs[0] == {"index": 0, "error": "RuntimeError: boom"}
+    assert recs[1]["index"] == 1 and recs[1]["s"] == 2
+    assert all(cl["pass"] for cl in recs[1]["clauses"])
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -395,6 +432,14 @@ def test_generate_cubic_12_matches_golden(capsys):
     code, out, _ = run_main(["generate", "--cubic", "12"], capsys=capsys)
     assert code == 0
     assert out.encode("ascii") == (GOLDEN / "cubic_12.g6").read_bytes()
+
+
+@pytest.mark.slow
+def test_generate_cubic_14_matches_golden(capsys):
+    # the 509 connected cubic graphs on 14 vertices, in enumeration order
+    code, out, _ = run_main(["generate", "--cubic", "14"], capsys=capsys)
+    assert code == 0
+    assert out.encode("ascii") == (GOLDEN / "cubic_14.g6").read_bytes()
 
 
 def test_generate_random_deterministic(capsys, monkeypatch):

@@ -2,12 +2,14 @@
 
 graph6 behaviour is cross-validated against networkx in both directions.
 The enumeration is checked against an independent labelled brute force for
-n <= 8 and against pairwise networkx isomorphism at n = 10.
+n <= 8, against pairwise networkx isomorphism at n = 10 and 16, and against
+its order contract (least breadth-first labellings) for n <= 10.
 """
 
 import itertools
 import random
 import sys
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -434,13 +436,70 @@ def test_enumerate_cubic_twelve_vertices():
     assert sum(1 for _ in enumerate_cubic(12)) == 85
 
 
+@pytest.mark.slow
+def test_enumerate_cubic_sixteen_vertices():
+    # 4060 classes (OEIS A002851).  networkx checks them pairwise within
+    # buckets of an invariant: each vertex's distance distribution (1-WL
+    # hashes give every cubic graph the same value).
+    graphs = list(enumerate_cubic(16))
+    assert len(graphs) == 4060
+    buckets: dict[tuple, list[nx.Graph]] = {}
+    for g in graphs:
+        assert g.vertex_count == 16 and g.is_cubic() and g.is_connected()
+        h = to_nx(g)
+        distances = tuple(sorted(
+            tuple(sorted(Counter(lengths.values()).items()))
+            for _, lengths in nx.all_pairs_shortest_path_length(h)
+        ))
+        buckets.setdefault(distances, []).append(h)
+    for bucket in buckets.values():
+        for a, b in itertools.combinations(bucket, 2):
+            assert not nx.is_isomorphic(a, b)
+
+
+def breadth_first_labellings(g: Graph):
+    """(key sequence, relabelled edge set) of every breadth-first labelling
+    of g: any root, and each processed vertex's unlabelled neighbours
+    labelled next, in any order.  At position k the key is the number of
+    unlabelled neighbours and the sorted labels above k of labelled ones."""
+    n = g.vertex_count
+
+    def extend(order, lab, keys):
+        k = len(keys)
+        if k == n:
+            edges = frozenset(tuple(sorted((lab[u], lab[v]))) for u, v in g.edges)
+            yield tuple(keys), edges
+            return
+        nbrs = g.neighbours(order[k])
+        fresh = [w for w in nbrs if w not in lab]
+        later = tuple(sorted(lab[w] for w in nbrs if w in lab and lab[w] > k))
+        for perm in itertools.permutations(fresh):
+            more = {w: len(order) + j for j, w in enumerate(perm)}
+            yield from extend(order + list(perm), {**lab, **more}, keys + [(len(fresh), later)])
+
+    for root in range(n):
+        yield from extend([root], {root: 0}, [])
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_enumerate_cubic_yields_least_breadth_first_labellings(n, cubic_corpus):
+    # the order contract: each class comes as its breadth-first labelling
+    # with the least key sequence, and classes in increasing order of it
+    least = []
+    for g in cubic_corpus[n]:
+        keys, edges = min(breadth_first_labellings(g))
+        assert edges == frozenset(g.edges)
+        least.append(keys)
+    assert all(a < b for a, b in zip(least, least[1:]))
+
+
 def test_enumerate_cubic_guards():
     with pytest.raises(DomainError):
         list(enumerate_cubic(5))  # odd
     with pytest.raises(DomainError):
         list(enumerate_cubic(2))
     with pytest.raises(DomainError):
-        list(enumerate_cubic(16))  # above the supported window
+        list(enumerate_cubic(18))  # above the supported window
 
 
 def test_isomorphic_agrees_with_networkx(cubic_corpus):
