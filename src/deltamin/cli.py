@@ -22,18 +22,11 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, TextIO
 
 from . import graphs as graphlib
-from .colouring import Colour, ColouringKind, EdgeColouring, properize
+from .colouring import Colour, EdgeColouring
 from .errors import DeltaMinError, GraphFormatError
 from .graphs import Graph, emit_graph6, enumerate_cubic, make_named, parse_edge_list, parse_graph6, random_subcubic
-from .solver import (
-    Method,
-    SolveResult,
-    enumerate_two_factors,
-    heuristic_descent,
-    resistance_exact,
-    solve_exact,
-)
-from .structure import classify_delta_edges, parity_signature, verify_theorem1
+from .solver import Method, SolveResult, heuristic_descent, solve_exact
+from .structure import verify_theorem1
 
 log = logging.getLogger("deltamin")
 
@@ -139,12 +132,15 @@ def _render(cfg: RunConfig, index: int, g: Graph) -> Output:
     if cfg.command != "analyze":
         return _json_line(rec), None, True
     report = verify_theorem1(result.witness)
-    parity = None
+    rec["verification"] = report.to_dict()
+    rec["parity"] = None
     if g.is_cubic() and result.method is Method.EXACT and result.s_value > 0:
-        sig = parity_signature(classify_delta_edges(result.witness))
-        parity = {"counts": list(sig.counts), "parity_ok": sig.parity_ok}
-    rec["verification"] = json.loads(report.to_json())
-    rec["parity"] = parity
+        # on a cubic graph every delta edge of a delta-minimum witness lies
+        # in exactly one class, so the report's counts partition s
+        rec["parity"] = {
+            "counts": [report.counts[cls] for cls in "ABC"],
+            "parity_ok": report.clause("parity_congruence").passed,
+        }
     return _json_line(rec), None, report.all_pass
 
 
@@ -155,7 +151,7 @@ def _verify_output(cfg: RunConfig, index: int, g: Graph, colouring: Optional[str
         report = verify_theorem1(EdgeColouring.from_json(g, colouring))
     except DeltaMinError as exc:
         return _error_output(cfg, index, str(exc), None)
-    rec = json.loads(report.to_json())
+    rec = report.to_dict()
     rec["index"] = index
     return _json_line(rec), None, report.all_pass
 
@@ -279,129 +275,46 @@ def cmd_generate(args: argparse.Namespace, out: Optional[TextIO] = None) -> int:
 # suite
 
 
-def _suite_golden(cfg: RunConfig) -> tuple[str, str]:
-    cases = [
-        ("k4", None, 0),
-        ("k33", None, 0),
-        ("cycle", 5, 0),
-        ("petersen", None, 2),
-    ]
-    failures = []
-    for name, k, want in cases:
-        got = solve_exact(make_named(name, k)).s_value
-        if got != want:
-            failures.append(f"{name}: s={got}, expected {want}")
-    if failures:
-        return "FAIL", "; ".join(failures)
-    return "PASS", f"{len(cases)} named graphs"
-
-
-def _suite_enumeration(cfg: RunConfig) -> tuple[str, str]:
-    expected = {4: 1, 6: 2, 8: 5}
-    failures = []
-    total = 0
-    for n, want in expected.items():
-        got = sum(1 for _ in enumerate_cubic(n))
-        total += got
-        if got != want:
-            failures.append(f"n={n}: {got} graphs, expected {want}")
-    if failures:
-        return "FAIL", "; ".join(failures)
-    return "PASS", f"{total} graphs over n=4,6,8"
-
-
-def _suite_two_factor_bound(cfg: RunConfig) -> tuple[str, str]:
-    graphs_checked = factors_checked = 0
-    for n in (4, 6, 8, 10):
-        for g in enumerate_cubic(n):
-            s = solve_exact(g).s_value
-            graphs_checked += 1
-            for f in enumerate_two_factors(g):
-                factors_checked += 1
-                if f.odd_cycle_count() < s:
-                    return "FAIL", f"2-factor with {f.odd_cycle_count()} odd cycles < s={s} (n={n})"
-    return "PASS", f"{graphs_checked} graphs, {factors_checked} two-factors"
-
-
-def _suite_resistance(cfg: RunConfig) -> tuple[str, str]:
-    checked = 0
-    for n in (4, 6, 8, 10):
-        for g in enumerate_cubic(n):
-            if resistance_exact(g) != solve_exact(g).s_value:
-                return "FAIL", f"resistance mismatch on a cubic graph (n={n})"
-            checked += 1
-    rng = random.Random(f"suite:{cfg.seed}")
-    for _ in range(100):
-        g = random_subcubic(rng.randrange(4, 11), rng.randrange(2**31))
-        if resistance_exact(g) != solve_exact(g).s_value:
-            return "FAIL", f"resistance mismatch on a random subcubic graph (n={g.vertex_count})"
-        checked += 1
-    return "PASS", f"{checked} graphs (enumerated cubic + 100 random subcubic)"
-
-
-def _suite_parity(cfg: RunConfig) -> tuple[str, str]:
-    checked = 0
-    for n in (4, 6, 8, 10):
-        for g in enumerate_cubic(n):
-            result = solve_exact(g)
-            if result.s_value == 0:
-                continue
-            sig = parity_signature(classify_delta_edges(result.witness))
-            checked += 1
-            if not sig.parity_ok:
-                return "FAIL", f"parity violated on a cubic graph (n={n})"
-    return "PASS", f"{checked} witnesses with s >= 1"
-
-
-def _suite_properize(cfg: RunConfig) -> tuple[str, str]:
-    rng = random.Random(f"suite-properize:{cfg.seed}")
-    for trial in range(200):
-        g = random_subcubic(rng.randrange(2, 13), rng.randrange(2**31))
-        colours = []
-        used: list[set[Colour]] = [set() for _ in range(g.vertex_count)]
-        for u, v in g.edges:
-            opts = [c for c in Colour if c is Colour.DELTA or (c not in used[u] and c not in used[v])]
-            col = rng.choice(opts)
-            colours.append(col)
-            used[u].add(col)
-            used[v].add(col)
-        improper = EdgeColouring(g, colours)
-        before = improper.colour_class(Colour.DELTA)
-        repaired = properize(improper)
-        after = repaired.colour_class(Colour.DELTA)
-        if repaired.classification() is not ColouringKind.PROPER or not after <= before:
-            return "FAIL", f"properize contract violated on trial {trial}"
-        if improper.classification() is ColouringKind.DELTA_IMPROPER and not after < before:
-            return "FAIL", f"properize failed to shrink delta on trial {trial}"
-    return "PASS", "200 random delta-improper colourings"
-
-
-_SUITES = (
-    ("golden-values", _suite_golden, 10),
-    ("enumeration-counts", _suite_enumeration, 0),
-    ("two-factor-bound", _suite_two_factor_bound, 10),
-    ("resistance-equivalence", _suite_resistance, 10),
-    ("parity-signature", _suite_parity, 10),
-    ("properize-contract", _suite_properize, 0),
-)
-
-
 def cmd_suite(cfg: RunConfig, out: Optional[TextIO] = None) -> int:
+    """Run the property checks over the cubic corpus up to n=10, solved once,
+    and seeded random graphs and colourings."""
+    # imported here so that the other commands do not load the checks
+    from . import checks
+
     out = out if out is not None else sys.stdout
     out.write(
         "deltamin suite | enumeration: isomorphism-free "
         "(orderly breadth-first generation) | "
         f"seed={cfg.seed} exact-limit={cfg.exact_limit}\n"
     )
+    corpus = checks.cubic_corpus()
+    needs = max(corpus)
+    witnesses = checks.solve_corpus(corpus) if needs <= cfg.exact_limit else {}
+    graphs = checks.random_graphs(random.Random(f"suite:{cfg.seed}"), 100, range(4, 11))
+    colourings = checks.random_improper_colourings(random.Random(f"suite-properize:{cfg.seed}"), 200, range(2, 13))
+    # (name, exact solving needed up to n, check, PASS detail given the count checked)
+    suites = (
+        ("golden-values", needs, checks.golden_values, "{} named graphs"),
+        ("enumeration-counts", 0, lambda: checks.enumeration_counts(corpus), "{} graphs over n=4,6,8"),
+        ("two-factor-bound", needs, lambda: checks.two_factor_bound(witnesses),
+         f"{len(witnesses)} graphs, {{}} two-factors"),
+        ("resistance-equivalence", needs, lambda: checks.resistance_equivalence(witnesses, graphs),
+         "{} graphs (enumerated cubic + 100 random subcubic)"),
+        ("parity-signature", needs, lambda: checks.parity_signatures(witnesses), "{} witnesses with s >= 1"),
+        ("properize-contract", 0, lambda: checks.properize_contract(colourings), "{} random delta-improper colourings"),
+    )
     status = 0
-    for name, runner, needs in _SUITES:
-        if needs > cfg.exact_limit:
-            out.write(f"suite {name}: SKIPPED (needs exact solving up to n={needs}, exact-limit={cfg.exact_limit})\n")
+    for name, limit, run, detail in suites:
+        if limit > cfg.exact_limit:
+            out.write(f"suite {name}: SKIPPED (needs exact solving up to n={limit}, exact-limit={cfg.exact_limit})\n")
             continue
-        verdict, detail = runner(cfg)
-        out.write(f"suite {name}: {verdict} ({detail})\n")
-        if verdict == "FAIL":
+        checked, failures = run()
+        if failures:
+            more = f"; {len(failures) - 1} more" if len(failures) > 1 else ""
+            out.write(f"suite {name}: FAIL ({failures[0]}{more})\n")
             status = 1
+        else:
+            out.write(f"suite {name}: PASS ({detail.format(checked)})\n")
     return status
 
 

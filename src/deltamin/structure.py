@@ -229,19 +229,19 @@ class VerificationReport:
                 return cl
         raise DomainError(f"no clause {clause_id!r}")
 
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "clauses": [
+                {"id": cl.clause_id, "pass": cl.passed, "witness": cl.witness}
+                for cl in self.clauses
+            ],
+            "s": self.delta_count,
+            "counts": dict(self.counts),
+            "strong_matching": self.strong_matching,
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "clauses": [
-                    {"id": cl.clause_id, "pass": cl.passed, "witness": cl.witness}
-                    for cl in self.clauses
-                ],
-                "s": self.delta_count,
-                "counts": self.counts,
-                "strong_matching": self.strong_matching,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _cycle_vertices(c: EdgeColouring, cycle: tuple[int, ...]) -> set[int]:
@@ -276,6 +276,16 @@ def _induced_edges(c: EdgeColouring, verts: set[int]) -> list[int]:
     return sorted({eid for a in verts for b, eid in adjacency[a] if b in verts})
 
 
+def _clause(name: str, bad: list, key: str) -> ClauseResult:
+    """A clause that fails exactly when its list of offenders is non-empty."""
+    return ClauseResult(name, not bad, {key: bad} if bad else None)
+
+
+def _congruent_mod_2(a: int, b: int, c: int, s: int) -> bool:
+    """The parity congruence |A| ≡ |B| ≡ |C| ≡ s (mod 2)."""
+    return a % 2 == b % 2 == c % 2 == s % 2
+
+
 def verify_theorem1(c: EdgeColouring, s_known: Optional[int] = None) -> VerificationReport:
     """Evaluate every published structural clause against a proper colouring.
 
@@ -305,7 +315,7 @@ def verify_theorem1(c: EdgeColouring, s_known: Optional[int] = None) -> Verifica
         seen = set(c.colours_at(u, skip=e)) | set(c.colours_at(v, skip=e))
         if not {Colour.ALPHA, Colour.BETA, Colour.GAMMA} <= seen:
             bad.append(e)
-    clauses.append(ClauseResult("delta_incidence", not bad, {"edges": bad} if bad else None))
+    clauses.append(_clause("delta_incidence", bad, "edges"))
 
     # degree_pattern: end degrees (2,3) or (3,3)
     bad = []
@@ -313,97 +323,81 @@ def verify_theorem1(c: EdgeColouring, s_known: Optional[int] = None) -> Verifica
         u, v = g.edges[e]
         if sorted((g.degree(u), g.degree(v))) not in ([2, 3], [3, 3]):
             bad.append(e)
-    clauses.append(ClauseResult("degree_pattern", not bad, {"edges": bad} if bad else None))
+    clauses.append(_clause("degree_pattern", bad, "edges"))
 
     # classification_total: every delta edge joined in at least one class
-    bad = [e for e in delta_edges if not found[e]]
-    clauses.append(
-        ClauseResult("classification_total", not bad, {"edges": bad} if bad else None)
-    )
+    clauses.append(_clause("classification_total", [e for e in delta_edges if not found[e]], "edges"))
 
     # cycle_oddness: every recorded cycle odd, with exactly one delta edge
-    bad_cyc = []
+    bad = []
     for e in delta_edges:
         for cls, cycle in found[e].items():
             deltas_on = [x for x in cycle if c.colours[x] is Colour.DELTA]
             if len(cycle) % 2 == 0 or deltas_on != [e]:
-                bad_cyc.append({"edge": e, "class": cls.value, "length": len(cycle)})
-    clauses.append(ClauseResult("cycle_oddness", not bad_cyc, {"cycles": bad_cyc} if bad_cyc else None))
+                bad.append({"edge": e, "class": cls.value, "length": len(cycle)})
+    clauses.append(_clause("cycle_oddness", bad, "cycles"))
 
     # external_edge_colour: edges leaving a cycle wear the class colour
-    bad_ext = []
+    bad = []
     for e in delta_edges:
         for cls, cycle in found[e].items():
             want = cls.external_colour
             for eid in _boundary_edges(c, verts_of[(e, cls)]):
                 if c.colours[eid] is not want:
-                    bad_ext.append({"edge": e, "class": cls.value, "external": eid})
-    clauses.append(
-        ClauseResult("external_edge_colour", not bad_ext, {"edges": bad_ext} if bad_ext else None)
-    )
+                    bad.append({"edge": e, "class": cls.value, "external": eid})
+    clauses.append(_clause("external_edge_colour", bad, "edges"))
 
     # no_consecutive_degree2: no cycle edge joins two degree-2 vertices
-    bad_deg2 = []
+    bad = []
     for e in delta_edges:
         for cls, cycle in found[e].items():
             for eid in cycle:
                 a, b = g.edges[eid]
                 if g.degree(a) == 2 and g.degree(b) == 2:
-                    bad_deg2.append({"edge": e, "class": cls.value, "vertices": [a, b]})
-    clauses.append(
-        ClauseResult(
-            "no_consecutive_degree2", not bad_deg2, {"pairs": bad_deg2} if bad_deg2 else None
-        )
-    )
+                    bad.append({"edge": e, "class": cls.value, "vertices": [a, b]})
+    clauses.append(_clause("no_consecutive_degree2", bad, "pairs"))
 
     # cycles_disjoint: cycles of distinct delta edges share no vertex
-    bad_pairs = []
+    bad = []
     for e1, e2 in combinations(delta_edges, 2):
         for cls1 in found[e1]:
             for cls2 in found[e2]:
                 shared = verts_of[(e1, cls1)] & verts_of[(e2, cls2)]
                 if shared:
-                    bad_pairs.append({"edges": [e1, e2], "vertices": sorted(shared)})
-    clauses.append(
-        ClauseResult("cycles_disjoint", not bad_pairs, {"pairs": bad_pairs} if bad_pairs else None)
-    )
+                    bad.append({"edges": [e1, e2], "vertices": sorted(shared)})
+    clauses.append(_clause("cycles_disjoint", bad, "pairs"))
 
     # parity_congruence (cubic only): |A| ≡ |B| ≡ |C| ≡ s (mod 2)
     counts = {cls.value: 0 for cls in DeltaClass}
     for e in delta_edges:
         for cls in found[e]:
             counts[cls.value] += 1
-    if g.is_cubic():
-        target = s_known if s_known is not None else len(delta_edges)
-        values = [counts["A"], counts["B"], counts["C"], target]
-        ok = len({v % 2 for v in values}) == 1
-        clauses.append(
-            ClauseResult(
-                "parity_congruence",
-                ok,
-                None if ok else {"counts": dict(counts), "target": target},
-            )
-        )
-    else:
-        clauses.append(ClauseResult("parity_congruence", True, None))
-
-    # pair_interaction: disjoint classes force 2K2, shared class allows one
-    # joining edge
-    bad_inter = []
-    for e1, e2 in combinations(delta_edges, 2):
-        if not found[e1] or not found[e2]:
-            continue  # already reported by classification_total
-        joining = _joining_edges(c, e1, e2)
-        share = set(found[e1]) & set(found[e2])
-        limit = 1 if share else 0
-        if len(joining) > limit:
-            bad_inter.append({"edges": [e1, e2], "joining": joining})
+    target = s_known if s_known is not None else len(delta_edges)
+    ok = not g.is_cubic() or _congruent_mod_2(counts["A"], counts["B"], counts["C"], target)
     clauses.append(
-        ClauseResult("pair_interaction", not bad_inter, {"pairs": bad_inter} if bad_inter else None)
+        ClauseResult("parity_congruence", ok, None if ok else {"counts": dict(counts), "target": target})
     )
 
+    # pair_interaction: disjoint classes force 2K2, shared class allows one
+    # joining edge; the same sweep decides strong_matching
+    bad = []
+    strong = True
+    for e1, e2 in combinations(delta_edges, 2):
+        # a pair with an unjoined edge is already reported by
+        # classification_total; it matters only until strong is decided
+        classified = found[e1] and found[e2]
+        if not classified and not strong:
+            continue
+        joining = _joining_edges(c, e1, e2)
+        strong = strong and not joining
+        if classified:
+            limit = 1 if set(found[e1]) & set(found[e2]) else 0
+            if len(joining) > limit:
+                bad.append({"edges": [e1, e2], "joining": joining})
+    clauses.append(_clause("pair_interaction", bad, "pairs"))
+
     # triple_interaction: three same-class edges induce at most four edges
-    bad_triples = []
+    bad = []
     for cls in DeltaClass:
         members = [e for e in delta_edges if cls in found[e]]
         for trio in combinations(members, 3):
@@ -412,19 +406,10 @@ def verify_theorem1(c: EdgeColouring, s_known: Optional[int] = None) -> Verifica
                 verts.update(g.edges[e])
             induced = _induced_edges(c, verts)
             if len(induced) > 4:
-                bad_triples.append(
-                    {"edges": list(trio), "class": cls.value, "induced": induced}
-                )
-    clauses.append(
-        ClauseResult(
-            "triple_interaction", not bad_triples, {"triples": bad_triples} if bad_triples else None
-        )
-    )
+                bad.append({"edges": list(trio), "class": cls.value, "induced": induced})
+    clauses.append(_clause("triple_interaction", bad, "triples"))
 
     # strong_matching_flag: informational only
-    strong = all(
-        not _joining_edges(c, e1, e2) for e1, e2 in combinations(delta_edges, 2)
-    )
     clauses.append(ClauseResult("strong_matching_flag", True, None))
 
     return VerificationReport(
@@ -472,9 +457,5 @@ def parity_signature(cl: DeltaClassification) -> ParitySignature:
                 f"delta edge {e} has {len(classes)} memberships on a cubic graph"
             )
         counts[next(iter(classes))] += 1
-    s = cl.colouring.delta_count()
-    values = [counts[DeltaClass.A], counts[DeltaClass.B], counts[DeltaClass.C], s]
-    parity_ok = len({v % 2 for v in values}) == 1
-    return ParitySignature(
-        counts[DeltaClass.A], counts[DeltaClass.B], counts[DeltaClass.C], parity_ok
-    )
+    a, b, c = counts[DeltaClass.A], counts[DeltaClass.B], counts[DeltaClass.C]
+    return ParitySignature(a, b, c, _congruent_mod_2(a, b, c, cl.colouring.delta_count()))

@@ -6,7 +6,7 @@ they are built once per session and shared across test modules.
 
 import pytest
 
-from deltamin import Graph, enumerate_cubic, solve_exact
+from deltamin import Graph, checks, solve_exact
 
 # Verdict registry for the acceptance tests; one summary line is printed
 # per criterion after the run.
@@ -41,17 +41,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture(scope="session")
 def cubic_corpus() -> dict[int, list[Graph]]:
-    return {n: list(enumerate_cubic(n)) for n in (4, 6, 8, 10)}
+    return checks.cubic_corpus()
 
 
 @pytest.fixture(scope="session")
 def corpus_witnesses(cubic_corpus):
     """solve_exact over the whole corpus, keyed by (n, index)."""
-    out = {}
-    for n, graphs in cubic_corpus.items():
-        for i, g in enumerate(graphs):
-            out[(n, i)] = solve_exact(g)
-    return out
+    return checks.solve_corpus(cubic_corpus)
 
 
 @pytest.fixture(scope="session")

@@ -16,12 +16,10 @@ from deltamin import (
     ColouringKind,
     DeltaClass,
     EdgeColouring,
+    checks,
     classify_delta_edges,
     kempe_decompose,
     make_named,
-    properize,
-    random_subcubic,
-    resistance_exact,
     shift_delta,
     solve_exact,
     verify_theorem1,
@@ -37,84 +35,25 @@ def record(number: int, failed: list[str]) -> None:
 
 def test_criterion_1_golden_values():
     start = time.monotonic()
-    cases = [
-        (make_named("k4"), 0),
-        (make_named("k33"), 0),
-        (make_named("cycle", 5), 0),
-        (make_named("petersen"), 2),
-    ]
-    failed = []
-    for g, want in cases:
-        got = solve_exact(g).s_value
-        if got != want:
-            failed.append(f"expected s={want}, got {got} on n={g.vertex_count}")
+    _, failed = checks.golden_values()
     elapsed = time.monotonic() - start
     if elapsed >= 10:
         failed.append(f"took {elapsed:.1f}s, budget is 10s")
     record(1, failed)
 
 
-def test_criterion_2_two_factor_bound(cubic_corpus, corpus_witnesses):
-    from deltamin import enumerate_two_factors
-
-    failed = []
-    for n in (4, 6, 8, 10):
-        for i, g in enumerate(cubic_corpus[n]):
-            s = corpus_witnesses[(n, i)].s_value
-            for f in enumerate_two_factors(g):
-                if f.odd_cycle_count() < s:
-                    failed.append(
-                        f"2-factor with {f.odd_cycle_count()} odd cycles < s={s} (n={n}, graph {i})"
-                    )
-    record(2, failed)
+def test_criterion_2_two_factor_bound(corpus_witnesses):
+    record(2, checks.two_factor_bound(corpus_witnesses)[1])
 
 
-def test_criterion_3_resistance_equivalence(cubic_corpus, corpus_witnesses):
-    failed = []
-    for n in (4, 6, 8, 10):
-        for i, g in enumerate(cubic_corpus[n]):
-            want = corpus_witnesses[(n, i)].s_value
-            got = resistance_exact(g)
-            if got != want:
-                failed.append(f"cubic n={n} graph {i}: resistance {got} != s {want}")
-    rng = random.Random("acceptance:resistance")
-    for trial in range(500):
-        g = random_subcubic(rng.randrange(1, 11), rng.randrange(2**31))
-        want = solve_exact(g).s_value
-        got = resistance_exact(g)
-        if got != want:
-            failed.append(f"random trial {trial}: resistance {got} != s {want}")
-    record(3, failed)
-
-
-def random_delta_improper(g, rng) -> EdgeColouring:
-    colours = []
-    used = [set() for _ in range(g.vertex_count)]
-    for u, v in g.edges:
-        opts = [c for c in Colour if c is D or (c not in used[u] and c not in used[v])]
-        col = rng.choice(opts)
-        colours.append(col)
-        used[u].add(col)
-        used[v].add(col)
-    return EdgeColouring(g, colours)
+def test_criterion_3_resistance_equivalence(corpus_witnesses):
+    graphs = checks.random_graphs(random.Random("acceptance:resistance"), 500, range(1, 11))
+    record(3, checks.resistance_equivalence(corpus_witnesses, graphs)[1])
 
 
 def test_criterion_4_properize_contract():
-    rng = random.Random("acceptance:properize")
-    failed = []
-    for trial in range(1000):
-        g = random_subcubic(rng.randrange(2, 13), rng.randrange(2**31))
-        before = random_delta_improper(g, rng)
-        after = properize(before)
-        if after.classification() is not ColouringKind.PROPER:
-            failed.append(f"trial {trial}: output not proper")
-            continue
-        b, a = before.colour_class(D), after.colour_class(D)
-        if not a <= b:
-            failed.append(f"trial {trial}: delta class not a subset")
-        if before.classification() is ColouringKind.DELTA_IMPROPER and not a < b:
-            failed.append(f"trial {trial}: delta class did not shrink")
-    record(4, failed)
+    colourings = checks.random_improper_colourings(random.Random("acceptance:properize"), 1000, range(2, 13))
+    record(4, checks.properize_contract(colourings)[1])
 
 
 def test_criterion_5_verifier_on_corpus_witnesses(corpus_witnesses):

@@ -9,8 +9,18 @@ from pathlib import Path
 
 import pytest
 
-from deltamin import emit_edge_list, emit_graph6, make_named, parse_graph6, solve_exact
-from deltamin import cli
+from deltamin import (
+    Colour,
+    EdgeColouring,
+    classify_delta_edges,
+    emit_edge_list,
+    emit_graph6,
+    make_named,
+    parity_signature,
+    parse_graph6,
+    solve_exact,
+)
+from deltamin import checks, cli
 from deltamin.cli import RunConfig, cmd_analyze, cmd_solve, cmd_suite, cmd_verify, main
 
 PETERSEN_G6 = emit_graph6(make_named("petersen"))
@@ -178,7 +188,8 @@ def test_solve_does_not_catch_keyboard_interrupt(tmp_path, capsys, monkeypatch):
 
 
 def test_solve_builds_no_pool_without_work(tmp_path):
-    # empty input and --jobs 1 never import the process pool
+    # empty input and --jobs 1 never import the process pool, and solve
+    # never loads the property checks
     empty = write(tmp_path, "empty.g6", "")
     one = write(tmp_path, "one.g6", "C~\n")
     script = (
@@ -187,10 +198,11 @@ def test_solve_builds_no_pool_without_work(tmp_path):
         f"main(['solve', {empty!r}, '--jobs', '2'])\n"
         f"main(['solve', {one!r}, '--jobs', '1'])\n"
         "print('concurrent.futures' in sys.modules)\n"
+        "print('deltamin.checks' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-2:] == ["False", "False"]
 
 
 def test_solve_heuristic_above_exact_limit(tmp_path, capsys, monkeypatch):
@@ -377,6 +389,24 @@ def test_analyze_matches_golden_for_any_jobs(capsys, corpus, golden, jobs):
     assert out.encode("ascii") == (GOLDEN / golden).read_bytes()
 
 
+def test_analyze_parity_matches_the_reference_signature(capsys):
+    # analyze reads parity off its verification report; on every exact
+    # witness with s >= 1 it agrees with classify_delta_edges + parity_signature
+    checked = 0
+    for name in ("cubic_10.g6", "cubic_12.g6"):
+        lines = (GOLDEN / name).read_text().split()
+        _, out, _ = run_main(["analyze", str(GOLDEN / name)], capsys=capsys)
+        for g6, rec in zip(lines, map(json.loads, out.splitlines()), strict=True):
+            if rec["s"] == 0:
+                assert rec["parity"] is None
+                continue
+            w = EdgeColouring(parse_graph6(g6), [Colour.from_code(x) for x in rec["colours"]])
+            sig = parity_signature(classify_delta_edges(w))
+            assert rec["parity"] == {"counts": list(sig.counts), "parity_ok": sig.parity_ok}
+            checked += 1
+    assert checked == 7
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_analyze_isolates_a_failing_graph(tmp_path, capsys, monkeypatch, jobs):
     monkeypatch.setattr(cli, "solve_exact", _failing_on_petersen(cli.solve_exact, RuntimeError("boom")))
@@ -465,26 +495,27 @@ def test_generate_errors_cleanly(capsys, monkeypatch):
 # suite
 
 
-def test_suite_skips_when_exact_limit_low(capsys, monkeypatch):
-    code, out, _ = run_main(["suite", "--exact-limit", "4"], capsys=capsys)
+@pytest.mark.parametrize("args, golden", [
+    ([], "suite_seed0.txt"),
+    (["--seed", "1"], "suite_seed1.txt"),
+    # four suites need exact solving up to n=10 and are skipped
+    (["--exact-limit", "4"], "suite_exact_limit4.txt"),
+], ids=["seed0", "seed1", "exact_limit4"])
+def test_suite_matches_golden(capsys, args, golden):
+    code, out, _ = run_main(["suite", *args], capsys=capsys)
     assert code == 0
-    lines = out.splitlines()
-    assert "isomorphism-free" in lines[0]
-    skipped = [ln for ln in lines if "SKIPPED" in ln]
-    ran = [ln for ln in lines if ": PASS" in ln]
-    assert len(skipped) == 4
-    assert len(ran) == 2
-    assert any("enumeration-counts" in ln for ln in ran)
-    assert any("properize-contract" in ln for ln in ran)
+    assert out.encode("ascii") == (GOLDEN / golden).read_bytes()
 
 
-@pytest.mark.slow
-def test_suite_default_config_passes(capsys, monkeypatch):
+def test_suite_reports_a_failing_check(capsys, monkeypatch):
+    # a check that disagrees fails its own line only, with the first failure
+    monkeypatch.setattr(checks, "resistance_exact", lambda g: -1)
     code, out, _ = run_main(["suite"], capsys=capsys)
-    assert code == 0
-    assert out.count(": PASS") == 6
-    assert "SKIPPED" not in out
-    assert "FAIL" not in out
+    assert code == 1
+    want = (GOLDEN / "suite_seed0.txt").read_text().splitlines()
+    got = out.splitlines()
+    assert got[4] == "suite resistance-equivalence: FAIL (cubic n=4 graph 0: resistance -1 != s 0; 126 more)"
+    assert got[:4] + got[5:] == want[:4] + want[5:]
 
 
 def test_suite_verdicts_independent_of_seed(capsys, monkeypatch):
