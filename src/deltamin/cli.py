@@ -191,7 +191,9 @@ def _chunk_outputs(cfg: RunConfig, chunks: list[list[Item]]) -> Iterator[list[Ou
     # imported here so that runs without a pool do not pay for it
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    # the pool forks all its workers at the first submit, so fewer chunks
+    # than jobs must not start idle ones
+    with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(chunks))) as pool:
         yield from pool.map(run, chunks)
 
 

@@ -35,9 +35,7 @@ class Graph:
     insertion order; the index of an edge in ``edges`` is its id.
     """
 
-    # _iso holds the isomorphism invariants once isomorphic() has computed
-    # them (see _iso_invariants)
-    __slots__ = ("vertex_count", "edges", "adjacency", "_edge_ids", "_iso")
+    __slots__ = ("vertex_count", "edges", "adjacency", "_edge_ids")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
         if vertex_count < 0:
@@ -70,7 +68,6 @@ class Graph:
         self.edges = tuple(normalised)
         self.adjacency = tuple(tuple(nbrs) for nbrs in adjacency)
         self._edge_ids = edge_ids
-        self._iso: _IsoInvariants | None = None
 
     @property
     def edge_count(self) -> int:
@@ -446,7 +443,7 @@ def random_subcubic(n: int, seed: int) -> Graph:
 
 class _IsoInvariants(NamedTuple):
     """Isomorphism invariants of one graph and its search order, computed
-    once by _iso_invariants."""
+    by _iso_invariants."""
 
     key: tuple  # quick-reject key: equal for isomorphic graphs
     masks: list[int]  # adjacency bitmask of each vertex
@@ -499,16 +496,13 @@ def _vertex_labels(
 
 
 def _iso_invariants(g: Graph) -> _IsoInvariants:
-    """The isomorphism invariants of g, computed on the first call and kept
-    on g for later ones.
+    """The isomorphism invariants of g.
 
     This is the one place they are computed.  The search order is a
     breadth-first forest whose roots are taken from the rarest label class
     first, so each vertex but a root has a previously mapped neighbour and
     candidate sets stay small.
     """
-    if g._iso is not None:
-        return g._iso
     n = g.vertex_count
     nbrs = [tuple(w for w, _ in adj) for adj in g.adjacency]
     masks = [0] * n
@@ -544,7 +538,7 @@ def _iso_invariants(g: Graph) -> _IsoInvariants:
                     order.append(w)
                     anchors.append(head)
             head += 1
-    g._iso = _IsoInvariants(
+    return _IsoInvariants(
         key=(n, g.edge_count, tuple(sorted(edge_tri)), tuple(sorted(labels))),
         masks=masks,
         classes=classes,
@@ -554,19 +548,16 @@ def _iso_invariants(g: Graph) -> _IsoInvariants:
             [depth[u] for u in nbrs[v] if depth[u] < k] for k, v in enumerate(order)
         ],
     )
-    return g._iso
 
 
 def isomorphic(g1: Graph, g2: Graph) -> bool:
     """Exact isomorphism test.
 
     Each graph's invariants (adjacency masks, refined vertex labels, label
-    classes, search order) are computed once per graph and kept on it, so
-    repeated tests against one graph reuse them.  They only prune: the
-    answer comes from a backtracking search, over a breadth-first order of
-    g1, for a bijection that preserves adjacency, so answers are those of
-    recomputing the invariants in every call.  The search runs on an explicit stack, so it has no
-    recursion-depth limit.
+    classes, search order) are computed afresh in every call, and they only
+    prune: the answer comes from a backtracking search, over a breadth-first
+    order of g1, for a bijection that preserves adjacency.  The search runs
+    on an explicit stack, so it has no recursion-depth limit.
     """
     n = g1.vertex_count
     if n != g2.vertex_count or g1.edge_count != g2.edge_count:

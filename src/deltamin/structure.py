@@ -18,13 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Any, Mapping, Optional
 
-from .colouring import (
-    Colour,
-    ColouringKind,
-    EdgeColouring,
-    KempeComponent,
-    kempe_decompose,
-)
+from .colouring import Colour, ColouringKind, EdgeColouring, kempe_path_from
 from .errors import ClassificationError, ContractViolationError, DomainError
 
 
@@ -68,19 +62,20 @@ class DeltaClassification:
             raise DomainError(f"edge {e} has no {cls.value} cycle") from None
 
 
-def _joining_paths(c: EdgeColouring) -> dict[DeltaClass, dict[frozenset[int], KempeComponent]]:
-    """Per class, the path components of its colour pair indexed by endpoint
-    set.  A vertex ends at most one path, so the index is injective."""
-    out = {}
-    for cls in DeltaClass:
-        x, y = cls.pair
-        d = kempe_decompose(c, x, y)
-        by_ends = {}
-        for comp in d.components:
-            if not comp.is_cycle:
-                by_ends[frozenset(comp.endpoints())] = comp
-        out[cls] = by_ends
-    return out
+def _joining_cycle(c: EdgeColouring, e: int, cls: DeltaClass) -> Optional[tuple[int, ...]]:
+    """The delta edge e followed by the path of cls's colour pair that joins
+    its ends, walked from the lower end; None when no such path exists.
+
+    An end that sees both colours of the pair, or neither, ends no path of
+    it (kempe_path_from would raise), so the walk starts only from an end
+    that sees exactly one."""
+    u, v = c.graph.edges[e]
+    x, y = cls.pair
+    seen = c.colours_at(u)
+    if (x in seen) == (y in seen):
+        return None
+    far, path = kempe_path_from(c, u, x, y)
+    return (e,) + tuple(path) if far == v else None
 
 
 def _memberships_lenient(
@@ -89,18 +84,13 @@ def _memberships_lenient(
     """Class memberships for every delta edge, by the joining-path criterion
     alone.  No parity filtering and no exception on an empty result; the
     verifier clauses judge what is recorded here."""
-    paths = _joining_paths(c)
     found: dict[int, dict[DeltaClass, tuple[int, ...]]] = {}
     for e in sorted(c.colour_class(Colour.DELTA)):
-        u, v = c.graph.edges[e]
-        key = frozenset((u, v))
         per_class = {}
         for cls in DeltaClass:
-            comp = paths[cls].get(key)
-            if comp is not None:
-                # cycle order: the delta edge, then the path from its lower
-                # end to its upper end
-                per_class[cls] = (e,) + comp.edges
+            cycle = _joining_cycle(c, e, cls)
+            if cycle is not None:
+                per_class[cls] = cycle
         found[e] = per_class
     return found
 
@@ -194,10 +184,8 @@ def _check_shift_post(
         if eid not in on_cycle and c.colours[eid] is not result.colours[eid]:
             raise ContractViolationError("shift touched an edge off the cycle")
     # the target edge must inherit the class with the identical cycle
-    paths = _joining_paths(result)
-    u, v = c.graph.edges[e_target]
-    comp = paths[cls].get(frozenset((u, v)))
-    if comp is None or set(comp.edges) != on_cycle - {e_target}:
+    joined = _joining_cycle(result, e_target, cls)
+    if joined is None or set(joined) != on_cycle:
         raise ContractViolationError("target edge lost its class or cycle after shift")
 
 

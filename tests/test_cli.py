@@ -205,6 +205,36 @@ def test_solve_builds_no_pool_without_work(tmp_path):
     assert proc.stdout.splitlines()[-2:] == ["False", "False"]
 
 
+@pytest.mark.parametrize("graphs, jobs, workers", [(2, 64, 2), (9, 2, 2)])
+def test_pool_starts_at_most_one_worker_per_chunk(tmp_path, capsys, monkeypatch, graphs, jobs, workers):
+    # the pool forks every worker at its first submit, so max_workers is the
+    # number of processes started; a fake pool records it and maps in-process
+    import concurrent.futures
+
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    lines = (GOLDEN / "solve_batch.g6").read_text().splitlines()
+    path = write(tmp_path, "in.g6", "".join(ln + "\n" for ln in lines[-graphs:]))
+    _, serial, _ = run_main(["solve", path], capsys=capsys)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    _, pooled, _ = run_main(["solve", path, "--jobs", str(jobs)], capsys=capsys)
+    assert started == [workers]
+    assert pooled == serial
+
+
 def test_solve_heuristic_above_exact_limit(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "in.g6", PETERSEN_G6 + "\n")
     code, out, _ = run_main(["solve", path, "--exact-limit", "8"], capsys=capsys)

@@ -352,7 +352,7 @@ def reference_verify(c: EdgeColouring) -> VerificationReport:
     """Frozen copy of the earlier verify_theorem1 (s_known unset), which
     scanned every edge per cycle, pair and trio; the test oracle for the
     report, not a second path in the package.  Memberships come from the
-    package's _memberships_lenient, which is not under test here."""
+    package's _memberships_lenient, which reference_memberships checks."""
     g = c.graph
     delta_edges = sorted(c.colour_class(D))
     found = _memberships_lenient(c)
@@ -443,6 +443,25 @@ def reference_verify(c: EdgeColouring) -> VerificationReport:
     return VerificationReport(tuple(clauses), len(delta_edges), counts, strong)
 
 
+def reference_memberships(c: EdgeColouring) -> list:
+    """Frozen copy of the earlier whole-graph joining-path search: per class,
+    every path of its colour pair from kempe_decompose, indexed by endpoint
+    set; a delta edge joined by one gets the cycle (e,) + path edges.  The
+    oracle for _memberships_lenient, as ordered (edge, [(class, cycle)])."""
+    paths = {}
+    for cls in DeltaClass:
+        paths[cls] = {
+            frozenset(comp.endpoints()): comp
+            for comp in kempe_decompose(c, *cls.pair).components
+            if not comp.is_cycle
+        }
+    out = []
+    for e in sorted(c.colour_class(D)):
+        key = frozenset(c.graph.edges[e])
+        out.append((e, [(cls, (e,) + paths[cls][key].edges) for cls in DeltaClass if key in paths[cls]]))
+    return out
+
+
 def heuristic_witnesses() -> list:
     """100 seeded proper colourings from the heuristic path, stopped after
     0 to 63 descent rounds so that many are far from minimum; most also get
@@ -516,3 +535,29 @@ def test_verify_matches_frozen_reference_on_golden_corpus():
         report = verify_theorem1(c)
         assert report.to_json() == reference_verify(c).to_json()
         assert json.loads(report.to_json()) == rec["verification"]
+
+
+def membership_witnesses() -> list:
+    """The exact witnesses of cubic_10.g6 and cubic_12.g6, heuristic_descent
+    witnesses of analyze_heuristic.g6, and heuristic_descent stopped after 0
+    to 15 rounds on 240 seeded random subcubic graphs with 4 to 63 vertices;
+    the last two hold many delta edges that no path joins."""
+    out = []
+    for name in ("cubic_10.g6", "cubic_12.g6"):
+        out += [solve_exact(parse_graph6(g6)).witness for g6 in (GOLDEN / name).read_text().split()]
+    out += [heuristic_descent(parse_graph6(g6)).witness
+            for g6 in (GOLDEN / "analyze_heuristic.g6").read_text().split()]
+    for seed in range(240):
+        g = random_subcubic(4 + seed % 60, 900 + seed)
+        out.append(heuristic_descent(g, seed=seed, max_rounds=seed % 16).witness)
+    return out
+
+
+def test_memberships_match_whole_graph_reference():
+    joined = unjoined = 0
+    for c in membership_witnesses():
+        got = [(e, list(per_class.items())) for e, per_class in _memberships_lenient(c).items()]
+        assert got == reference_memberships(c)
+        joined += sum(len(per_class) for _, per_class in got)
+        unjoined += sum(not per_class for _, per_class in got)
+    assert joined > 80 and unjoined > 80
