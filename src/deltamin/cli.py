@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Optional, TextIO
 
 from . import graphs as graphlib
 from .colouring import Colour, EdgeColouring
-from .errors import DeltaMinError, GraphFormatError
+from .errors import DeltaMinError, DomainError, GraphFormatError
 from .graphs import Graph, emit_graph6, enumerate_cubic, make_named, parse_edge_list, parse_graph6, random_subcubic
 from .solver import Method, SolveResult, heuristic_descent, solve_exact
 from .structure import verify_theorem1
@@ -54,11 +54,21 @@ class RunConfig:
 # input handling
 
 
+class _Unreadable(Exception):
+    """An input or colouring file that cannot be read: the command exits 2."""
+
+
 def _read_text(path: str) -> str:
+    """The UTF-8 text of a file, or of standard input for "-".  A byte that is
+    not UTF-8 is kept as a surrogate escape, so it fails only its own line."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        raw = getattr(sys.stdin, "buffer", None)
+        return sys.stdin.read() if raw is None else raw.read().decode("utf-8", "surrogateescape")
+    try:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise _Unreadable(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 # One graph's input: its index, its raw text, and for verify its colouring
@@ -260,6 +270,8 @@ def cmd_generate(args: argparse.Namespace, out: Optional[TextIO] = None) -> int:
         elif args.cubic is not None:
             emitted = list(enumerate_cubic(args.cubic))
         else:
+            if args.count < 0:
+                raise DomainError("--count must be non-negative")
             rng = random.Random(f"generate:{args.seed}")
             emitted = [
                 random_subcubic(args.random, rng.randrange(2**31))
@@ -410,13 +422,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg = _config_from(args)
     except ValueError as exc:
         parser.error(str(exc))
-    if args.command == "solve":
-        return cmd_solve(cfg)
-    if args.command == "verify":
-        return cmd_verify(cfg, args.colouring)
-    if args.command == "analyze":
-        return cmd_analyze(cfg)
-    return cmd_suite(cfg)
+    try:
+        if args.command == "solve":
+            return cmd_solve(cfg)
+        if args.command == "verify":
+            return cmd_verify(cfg, args.colouring)
+        if args.command == "analyze":
+            return cmd_analyze(cfg)
+        return cmd_suite(cfg)
+    except _Unreadable as exc:
+        print(f"deltamin {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 def main_entry() -> None:

@@ -75,6 +75,42 @@ def test_solve_corrupt_line_among_valid(tmp_path, capsys, monkeypatch):
     assert recs[2]["s"] == 2
 
 
+NOT_UTF8 = b"C~\n\xff\xfe\n" + PETERSEN_G6.encode("ascii") + b"\n"
+
+
+def check_bad_middle_line(code, out):
+    assert code == 1
+    recs = [json.loads(ln) for ln in out.splitlines()]
+    assert recs[1] == {"error": "non-ASCII byte in graph6 data (byte offset 0)", "index": 1, "offset": 0}
+    assert [recs[0]["s"], recs[2]["s"]] == [0, 2]
+
+
+def test_solve_keeps_the_batch_around_a_non_utf8_line(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "in.g6"
+    path.write_bytes(NOT_UTF8)
+    check_bad_middle_line(*run_main(["solve", str(path)], capsys=capsys)[:2])
+    # standard input is decoded the same way, whatever the locale's encoding
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8"))
+    check_bad_middle_line(*run_main(["solve", "-"], capsys=capsys)[:2])
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{missing}"],
+    ["analyze", "{missing}"],
+    ["verify", "{missing}", "--colouring", "{present}"],
+    ["verify", "{present}", "--colouring", "{missing}"],
+    ["solve", "{tmp}"],
+], ids=["solve", "analyze", "verify-input", "verify-colouring", "directory"])
+def test_unreadable_file_exits_2_with_one_line(tmp_path, capsys, argv):
+    paths = {"missing": str(tmp_path / "missing.g6"), "present": write(tmp_path, "in.g6", "C~\n"), "tmp": str(tmp_path)}
+    argv = [a.format(**paths) for a in argv]
+    code, out, err = run_main(argv, capsys=capsys)
+    unreadable = next(a for a in argv if a in (paths["missing"], paths["tmp"]))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"deltamin {argv[0]}: cannot read {unreadable}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_solve_reads_stdin(capsys, monkeypatch):
     code, out, _ = run_main(
         ["solve", "-"], stdin_text="C~\n", monkeypatch=monkeypatch, capsys=capsys
@@ -519,6 +555,9 @@ def test_generate_errors_cleanly(capsys, monkeypatch):
     code, _, err = run_main(["generate", "--cubic", "7"], capsys=capsys)
     assert code == 2
     assert "odd" in err
+    code, out, err = run_main(["generate", "--random", "5", "--count", "-3"], capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == "deltamin generate: --count must be non-negative\n"
 
 
 # ---------------------------------------------------------------------------

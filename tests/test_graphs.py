@@ -562,3 +562,74 @@ def test_isomorphic_quick_rejects():
     assert not isomorphic(make_named("k4"), make_named("k33"))
     assert not isomorphic(make_named("cycle", 4), make_named("cycle", 5))
     assert isomorphic(Graph(0, []), Graph(0, []))
+
+
+def relabelled(g: Graph, seed: str) -> Graph:
+    perm = list(range(g.vertex_count))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def disjoint_union(*parts: Graph) -> Graph:
+    edges, base = [], 0
+    for h in parts:
+        edges += [(base + u, base + v) for u, v in h.edges]
+        base += h.vertex_count
+    return Graph(base, edges)
+
+
+def generalised_petersen(n: int, k: int) -> Graph:
+    """GP(n, k): outer cycle 0..n-1, spokes i to n+i, inner edges n+i to
+    n+((i+k) mod n)."""
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
+    return Graph(2 * n, edges + [(n + i, n + (i + k) % n) for i in range(n)])
+
+
+def two_switched(g: Graph) -> Graph:
+    """The first 2-switch of g (edges ab and cd replaced by ac and bd), in
+    edge-pair order, that keeps g triangle-free and leaves its isomorphism
+    class, by networkx.  A 2-switch keeps every degree."""
+    for i, j in itertools.combinations(range(g.edge_count), 2):
+        (a, b), (c, d) = g.edges[i], g.edges[j]
+        if len({a, b, c, d}) < 4 or g.has_edge(a, c) or g.has_edge(b, d):
+            continue
+        edges = list(g.edges)
+        edges[i], edges[j] = (a, c), (b, d)
+        h = to_nx(Graph(g.vertex_count, edges))
+        if not any(nx.triangles(h).values()) and not nx.is_isomorphic(h, to_nx(g)):
+            return Graph(g.vertex_count, edges)
+    raise AssertionError("no triangle-free 2-switch leaves the class")
+
+
+def cycles(*lengths: int) -> Graph:
+    return disjoint_union(*[make_named("cycle", k) for k in lengths])
+
+
+# name -> (a, b); b's relabelled copy is tested too, so (g, g) tests g
+# against a relabelled copy
+ISO_PAIRS = {
+    # disconnected: the search order is a forest with one root per component
+    "2xC5": lambda: (cycles(5, 5), cycles(5, 5)),
+    "C3+C4": lambda: (cycles(3, 4), cycles(4, 3)),
+    "C10 vs 2xC5": lambda: (cycles(10), cycles(5, 5)),
+    "C12 vs 2xC6": lambda: (cycles(12), cycles(6, 6)),
+    # every vertex label is equal, so the search alone decides
+    "C1500": lambda: (cycles(1500), cycles(1500)),
+    # regular and triangle-free: every label is equal here too
+    "J5 vs 2-switched": lambda: (make_named("flower", 5), two_switched(make_named("flower", 5))),
+    "J7 vs 2-switched": lambda: (make_named("flower", 7), two_switched(make_named("flower", 7))),
+    **{
+        f"GP({n},2) vs GP({n},3)": lambda n=n: (generalised_petersen(n, 2), generalised_petersen(n, 3))
+        for n in (7, 8, 10, 11, 12)
+    },
+}
+
+
+@pytest.mark.parametrize("name", ISO_PAIRS)
+def test_isomorphic_beyond_the_connected_corpus(name):
+    a, b = ISO_PAIRS[name]()
+    # networkx's VF2 takes seconds on C1500, where a is b
+    expect = a == b or nx.is_isomorphic(to_nx(a), to_nx(b))
+    copy = relabelled(b, name)
+    assert isomorphic(a, b) == expect and isomorphic(b, a) == expect
+    assert isomorphic(a, copy) == expect and isomorphic(copy, a) == expect
