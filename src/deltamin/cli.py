@@ -55,7 +55,8 @@ class RunConfig:
 
 
 class _Unreadable(Exception):
-    """An input or colouring file that cannot be read: the command exits 2."""
+    """An input that cannot be read (a file, or standard input asked for
+    twice): the command exits 2."""
 
 
 def _read_text(path: str) -> str:
@@ -245,6 +246,8 @@ def cmd_analyze(cfg: RunConfig, out: Optional[TextIO] = None) -> int:
 def cmd_verify(cfg: RunConfig, colouring_path: str, out: Optional[TextIO] = None) -> int:
     """Check each graph's colouring, given by the line at the same position
     in the colouring file, against every structural clause."""
+    if cfg.input_path == "-" and colouring_path == "-":
+        raise _Unreadable("graphs and colourings cannot both be read from standard input")
     items = _load_graphs(cfg)
     colour_lines = [
         ln for ln in _read_text(colouring_path).splitlines() if ln.strip()
@@ -336,22 +339,24 @@ def cmd_suite(cfg: RunConfig, out: Optional[TextIO] = None) -> int:
 # argument parsing / entry point
 
 
-def _add_common(p: argparse.ArgumentParser, with_input: bool = True) -> None:
-    if with_input:
+def _add_common(p: argparse.ArgumentParser, batch: bool = True) -> None:
+    """--exact-limit and --seed; a batch command (solve, verify, analyze)
+    also takes an input, --format and --jobs."""
+    if batch:
         p.add_argument("input", help="input path, or - for standard input")
         p.add_argument(
             "--format", choices=("graph6", "edgelist"), default="graph6",
             help="input encoding (graph6: one graph per line)",
+        )
+        p.add_argument(
+            "--jobs", type=int, default=1, metavar="J",
+            help="worker processes for independent graphs",
         )
     p.add_argument(
         "--exact-limit", type=int, default=DEFAULT_EXACT_LIMIT, metavar="N",
         help="largest vertex count solved exactly (minimum 4)",
     )
     p.add_argument("--seed", type=int, default=0, metavar="S", help="random seed")
-    p.add_argument(
-        "--jobs", type=int, default=1, metavar="J",
-        help="worker processes for independent graphs",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0, metavar="S")
 
     p_suite = sub.add_parser("suite", help="run the self-check property suites")
-    _add_common(p_suite, with_input=False)
+    _add_common(p_suite, batch=False)
 
     return parser
 
@@ -436,4 +441,12 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away: stop quietly, with stdout on devnull so that
+        # the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)

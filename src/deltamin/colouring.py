@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import ContractViolationError, DomainError
 from .graphs import Graph
@@ -179,61 +179,60 @@ class KempeDecomposition:
         return None
 
 
+def _chain_edges(c: EdgeColouring, v: int, x: Colour, y: Colour) -> list[int]:
+    """The edges at v coloured x or y, at most one of each; DomainError when
+    the restriction to {x, y} is improper at v."""
+    colours = c.colours
+    pair = [eid for _, eid in c.graph.adjacency[v] if colours[eid] is x or colours[eid] is y]
+    if len(pair) > 2 or (len(pair) == 2 and colours[pair[0]] is colours[pair[1]]):
+        raise DomainError(
+            f"restriction to {x.value},{y.value} is improper at vertex {v}"
+        )
+    return pair
+
+
+def _walk_chain(g: Graph, chain_edges: Callable[[int], list[int]], start: int, eid: int) -> tuple[list[int], list[int]]:
+    """Follow a two-colour chain from start along edge eid: its vertices and
+    edge ids in order, up to a path end, or on a cycle up to the edge that
+    returns to start.  chain_edges(v) lists the chain's edges at v."""
+    verts, eids, at = [start], [], start
+    while True:
+        eids.append(eid)
+        a, b = g.edges[eid]
+        at = b if a == at else a
+        if at == start:
+            return verts, eids
+        verts.append(at)
+        onward = [e for e in chain_edges(at) if e != eid]
+        if not onward:
+            return verts, eids
+        eid = onward[0]
+
+
 def kempe_decompose(c: EdgeColouring, x: Colour, y: Colour) -> KempeDecomposition:
     """Split the edges coloured x or y into maximal paths and even cycles.
 
     Requires the restriction of c to {x, y} to be proper (no vertex with two
-    incident edges of the same one of these colours).  Components appear
-    paths first (by lower endpoint), then cycles (by smallest vertex).
+    incident edges of the same one of these colours); the DomainError names
+    the lowest vertex where it is not.  Components appear paths first (by
+    lower endpoint), then cycles (by smallest vertex, walked along its lower
+    edge id).
     """
     if x is y:
         raise DomainError("need two distinct colours")
-    g = c.graph
-    incident: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for eid, col in enumerate(c.colours):
-        if col is x or col is y:
-            u, v = g.edges[eid]
-            incident[u].append(eid)
-            incident[v].append(eid)
-    for v, eids in enumerate(incident):
-        per = [c.colours[e] for e in eids]
-        if per.count(x) > 1 or per.count(y) > 1:
-            raise DomainError(
-                f"restriction to {x.value},{y.value} is improper at vertex {v}"
-            )
-
-    visited_edges: set[int] = set()
+    at = [_chain_edges(c, v, x, y) for v in range(c.graph.vertex_count)]
+    seen: set[int] = set()
     components: list[KempeComponent] = []
-
-    def walk(start: int, first_eid: int, is_cycle: bool) -> KempeComponent:
-        verts = [start]
-        eids = []
-        v, eid = start, first_eid
-        while True:
-            eids.append(eid)
-            visited_edges.add(eid)
-            a, b = g.edges[eid]
-            v = b if v == a else a
-            nxt = [e for e in incident[v] if e not in visited_edges]
-            if is_cycle and v == start:
-                break
-            verts.append(v)
-            if not nxt:
-                break
-            eid = nxt[0]
-        return KempeComponent(is_cycle, tuple(verts), tuple(eids))
-
-    for v in range(g.vertex_count):
-        if len(incident[v]) == 1 and incident[v][0] not in visited_edges:
-            components.append(walk(v, incident[v][0], False))
-    for v in range(g.vertex_count):
-        if len(incident[v]) == 2:
-            fresh = [e for e in incident[v] if e not in visited_edges]
-            if len(fresh) == 2:
-                comp = walk(v, min(fresh), True)
+    # every path is walked before the first cycle, so an unseen vertex with
+    # two chain edges lies on a cycle, and the first one met is its smallest
+    for is_cycle in (False, True):
+        for v, here in enumerate(at):
+            if len(here) == 1 + is_cycle and v not in seen:
+                verts, eids = _walk_chain(c.graph, at.__getitem__, v, min(here))
                 # alternation of two colours forces even length
-                assert len(comp.edges) % 2 == 0
-                components.append(comp)
+                assert not is_cycle or len(eids) % 2 == 0
+                seen.update(verts)
+                components.append(KempeComponent(is_cycle, tuple(verts), tuple(eids)))
     return KempeDecomposition(c, (x, y) if x < y else (y, x), tuple(components))
 
 
@@ -265,26 +264,13 @@ def kempe_path_from(c: EdgeColouring, v: int, x: Colour, y: Colour) -> tuple[int
     """
     if x is y:
         raise DomainError("need two distinct colours")
-    g, colours = c.graph, c.colours
-    path: list[int] = []
-    at, came = v, -1
-    while True:
-        pair = [eid for _, eid in g.adjacency[at] if colours[eid] is x or colours[eid] is y]
-        if len(pair) > 2 or (len(pair) == 2 and colours[pair[0]] is colours[pair[1]]):
-            raise DomainError(
-                f"restriction to {x.value},{y.value} is improper at vertex {at}"
-            )
-        if came == -1 and len(pair) != 1:
-            raise ContractViolationError(
-                f"expected vertex {v} to end a ({x.value},{y.value}) path"
-            )
-        onward = [eid for eid in pair if eid != came]
-        if not onward:
-            return at, path
-        came = onward[0]
-        path.append(came)
-        a, b = g.edges[came]
-        at = b if a == at else a
+    first = _chain_edges(c, v, x, y)
+    if len(first) != 1:
+        raise ContractViolationError(
+            f"expected vertex {v} to end a ({x.value},{y.value}) path"
+        )
+    verts, path = _walk_chain(c.graph, lambda w: _chain_edges(c, w, x, y), v, first[0])
+    return verts[-1], path
 
 
 def _missing_at(c: EdgeColouring, v: int, skip: int) -> list[Colour]:
@@ -305,10 +291,7 @@ def properize(c: EdgeColouring) -> EdgeColouring:
     the delta class only shrinks, no clash appears below a vertex once it
     is clash-free, so one pointer that never moves back finds those
     vertices: O(n) for the scan plus, per round, O(1) work at the clash,
-    the length of a Kempe walk and one copy of the colour tuple, where the
-    first version rescanned every vertex and rebuilt a whole Kempe
-    decomposition per round.  The rounds, and so the result, are that
-    version's.
+    the length of a Kempe walk and one copy of the colour tuple.
     """
     kind = c.classification()
     if kind is ColouringKind.INVALID:

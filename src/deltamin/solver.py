@@ -566,9 +566,8 @@ def _reduce_once(c: EdgeColouring) -> Optional[EdgeColouring]:
     ends, otherwise look for a two-colour pair whose Kempe paths end at the
     two endpoints separately; swapping one path aligns the missing colours.
     At most O(m) to find the delta edges, then O(1) per direct try and the
-    path's length per Kempe try: the path is walked from u (kempe_path_from), not
-    found in a whole decomposition, and it is u's component of that
-    decomposition, so the result is the one the decomposing version gave.
+    path's length per Kempe try: the path is walked from u (kempe_path_from),
+    and it is u's component of kempe_decompose(c, x, y).
     """
     g = c.graph
     colours = c.colours

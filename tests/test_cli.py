@@ -18,6 +18,7 @@ from deltamin import (
     make_named,
     parity_signature,
     parse_graph6,
+    random_subcubic,
     solve_exact,
 )
 from deltamin import checks, cli
@@ -109,6 +110,15 @@ def test_unreadable_file_exits_2_with_one_line(tmp_path, capsys, argv):
     assert (code, out) == (2, "")
     assert err.startswith(f"deltamin {argv[0]}: cannot read {unreadable}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_verify_both_inputs_on_stdin_exits_2(capsys, monkeypatch):
+    # one stream cannot hold both, so this is refused before either is read
+    code, out, err = run_main(
+        ["verify", "-", "--colouring", "-"], stdin_text="C~\n", monkeypatch=monkeypatch, capsys=capsys
+    )
+    assert (code, out) == (2, "")
+    assert err == "deltamin verify: graphs and colourings cannot both be read from standard input\n"
 
 
 def test_solve_reads_stdin(capsys, monkeypatch):
@@ -610,6 +620,11 @@ def test_bad_flags_exit_with_usage(capsys, monkeypatch):
         main(["solve", "-", "--exact-limit", "3"])
     assert exc.value.code == 2
     capsys.readouterr()
+    # suite runs no batch of graphs, so it has no --jobs
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_module_entry_point():
@@ -621,6 +636,26 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "C~"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{many}", "--jobs", "1"],
+    ["solve", "{many}", "--jobs", "2"],
+    ["generate", "--random", "12", "--count", "20000"],
+], ids=["solve-jobs1", "solve-jobs2", "generate"])
+def test_closed_output_pipe_stops_quietly(tmp_path, argv):
+    # the reader takes one line and goes away while the command still has far
+    # more output than a pipe holds
+    many = write(tmp_path, "many.g6", "".join(emit_graph6(random_subcubic(12, seed)) + "\n" for seed in range(3000)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "deltamin", *(a.format(many=many) for a in argv)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 def test_log_env_var_tolerated(monkeypatch, capsys):

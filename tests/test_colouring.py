@@ -1,6 +1,7 @@
 """Colourings, Kempe machinery, and the improper-to-proper repair."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,10 +16,14 @@ from deltamin import (
     kempe_swap,
     heuristic_descent,
     make_named,
+    parse_graph6,
     properize,
     random_subcubic,
+    solve_exact,
 )
-from deltamin.colouring import NON_DELTA, kempe_path_from
+from deltamin.colouring import NON_DELTA, KempeComponent, KempeDecomposition, kempe_path_from
+
+GOLDEN = Path(__file__).parent / "golden"
 
 A, B, G, D = Colour.ALPHA, Colour.BETA, Colour.GAMMA, Colour.DELTA
 
@@ -92,6 +97,60 @@ def reference_resolve_clash(c: EdgeColouring, u: int, deltas: list, branches: di
     far_end = ends[1] if ends[0] == u else ends[0]
     target = e2 if other_end(e2) != far_end else e1
     return kempe_swap(c, d, at_u).with_colours({target: x})
+
+
+def reference_decompose(c: EdgeColouring, x: Colour, y: Colour) -> KempeDecomposition:
+    """Frozen copy of the earlier kempe_decompose, with its own incident
+    lists, visited-edge set and walk loop; the test oracle for the
+    decomposition built on the package's one chain walker."""
+    if x is y:
+        raise DomainError("need two distinct colours")
+    g = c.graph
+    incident: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for eid, col in enumerate(c.colours):
+        if col is x or col is y:
+            u, v = g.edges[eid]
+            incident[u].append(eid)
+            incident[v].append(eid)
+    for v, eids in enumerate(incident):
+        per = [c.colours[e] for e in eids]
+        if per.count(x) > 1 or per.count(y) > 1:
+            raise DomainError(
+                f"restriction to {x.value},{y.value} is improper at vertex {v}"
+            )
+
+    visited_edges: set[int] = set()
+    components: list[KempeComponent] = []
+
+    def walk(start: int, first_eid: int, is_cycle: bool) -> KempeComponent:
+        verts = [start]
+        eids = []
+        v, eid = start, first_eid
+        while True:
+            eids.append(eid)
+            visited_edges.add(eid)
+            a, b = g.edges[eid]
+            v = b if v == a else a
+            nxt = [e for e in incident[v] if e not in visited_edges]
+            if is_cycle and v == start:
+                break
+            verts.append(v)
+            if not nxt:
+                break
+            eid = nxt[0]
+        return KempeComponent(is_cycle, tuple(verts), tuple(eids))
+
+    for v in range(g.vertex_count):
+        if len(incident[v]) == 1 and incident[v][0] not in visited_edges:
+            components.append(walk(v, incident[v][0], False))
+    for v in range(g.vertex_count):
+        if len(incident[v]) == 2:
+            fresh = [e for e in incident[v] if e not in visited_edges]
+            if len(fresh) == 2:
+                comp = walk(v, min(fresh), True)
+                assert len(comp.edges) % 2 == 0
+                components.append(comp)
+    return KempeDecomposition(c, (x, y) if x < y else (y, x), tuple(components))
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +321,43 @@ def test_kempe_cycles_are_even():
                 for comp in kempe_decompose(c, x, y).components:
                     if comp.is_cycle:
                         assert len(comp.edges) % 2 == 0
+
+
+def test_kempe_decompose_matches_frozen_reference():
+    # the exact witnesses of cubic_10.g6, and for 300 seeded random subcubic
+    # graphs a delta-improper colouring and its properized repair; pairs with
+    # delta are improper wherever two delta edges meet
+    inputs = [solve_exact(parse_graph6(g6)).witness for g6 in (GOLDEN / "cubic_10.g6").read_text().split()]
+    for trial in range(300):
+        c = random_delta_improper(random_subcubic(4 + trial % 57, 4000 + trial), 17 * trial + 3)
+        inputs += [c, properize(c)]
+    decomposed = cycles = improper = several = 0
+    for c in inputs:
+        for x in Colour:
+            for y in Colour:
+                try:
+                    want = reference_decompose(c, x, y)
+                except DomainError as exc:
+                    with pytest.raises(DomainError) as got:
+                        kempe_decompose(c, x, y)
+                    assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+                    if x is not y:
+                        improper += 1
+                        clashes = sum(
+                            1 for v in range(c.graph.vertex_count)
+                            if any(c.colours_at(v).count(col) > 1 for col in (x, y))
+                        )
+                        several += clashes >= 2
+                    continue
+                got = kempe_decompose(c, x, y)
+                assert got.source is c and got.pair == want.pair
+                assert [(k.is_cycle, k.vertices, k.edges) for k in got.components] == [
+                    (k.is_cycle, k.vertices, k.edges) for k in want.components
+                ]
+                decomposed += 1
+                cycles += sum(k.is_cycle for k in want.components)
+    assert len(inputs) >= 300 and decomposed > 3000 and cycles > 100, (decomposed, cycles)
+    assert several > 300 and improper > several, (improper, several)
 
 
 def test_kempe_path_from_walks_the_decomposition_component():
