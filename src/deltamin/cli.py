@@ -265,21 +265,25 @@ def cmd_verify(cfg: RunConfig, colouring_path: str, out: Optional[TextIO] = None
 
 
 def cmd_generate(args: argparse.Namespace, out: Optional[TextIO] = None) -> int:
+    """Write each graph as it is made.  Every argument is checked before the
+    first graph, so an error exits 2 with no output."""
     out = out if out is not None else sys.stdout
     emitted: Iterable[Graph]
     try:
         if args.named is not None:
             emitted = [make_named(args.named, args.size)]
         elif args.cubic is not None:
-            emitted = list(enumerate_cubic(args.cubic))
+            emitted = enumerate_cubic(args.cubic)
         else:
             if args.count < 0:
                 raise DomainError("--count must be non-negative")
+            if args.random < 1:
+                raise DomainError("need at least one vertex")
             rng = random.Random(f"generate:{args.seed}")
-            emitted = [
+            emitted = (
                 random_subcubic(args.random, rng.randrange(2**31))
                 for _ in range(args.count)
-            ]
+            )
     except DeltaMinError as exc:
         print(f"deltamin generate: {exc}", file=sys.stderr)
         return 2

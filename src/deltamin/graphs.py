@@ -574,7 +574,8 @@ def enumerate_cubic(n: int) -> Iterator[Graph]:
     2-vCPU Xeon with CPython 3.11, n=12 (85 graphs) takes about 0.09 s,
     n=14 (509) 0.55 s and n=16 (4060) 4 s.
 
-    n must be even and between 4 and 16.
+    n must be even and between 4 and 16; it is checked when this is called,
+    before the first graph is made.
     """
     if not 4 <= n <= 16:
         raise DomainError("cubic enumeration supports 4 <= n <= 16")
@@ -583,5 +584,4 @@ def enumerate_cubic(n: int) -> Iterator[Graph]:
     # imported here so that commands that never enumerate do not load it
     from .orderly import orderly_cubic_edge_sets
 
-    for edge_set in orderly_cubic_edge_sets(n):
-        yield Graph(n, edge_set)
+    return (Graph(n, edge_set) for edge_set in orderly_cubic_edge_sets(n))

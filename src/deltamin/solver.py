@@ -13,10 +13,15 @@ free colours and tries alpha < beta < gamma.  The backtrack also gives every
 edge left with a single free colour that colour before branching again;
 such forcing reaches one fixpoint (or one failure) in any order, so it
 prunes work without moving a branch point or changing the first colouring
-found.  On a cubic graph the size k=1 is skipped once k=0 has failed: by the
-parity lemma (Steffen, Measurements of edge-uncolorability of cubic graphs,
-J. Graph Theory 2004) a 3-edge-colouring of G - e leaves both ends of e
-missing the same colour, so G would be 3-edge-colourable itself.
+found.  At each branch point the backtrack also keeps only the lowest of the
+free colours that no coloured edge uses yet (free colours already in use are
+all kept): a dropped colour's subtree is the colour-swapped image of that
+lowest one's, which was tried first and failed, so it fails too and the
+first colouring found stays the same.  On a cubic graph the size k=1 is
+skipped once k=0 has failed: by the parity lemma (Steffen, Measurements of
+edge-uncolorability of cubic graphs, J. Graph Theory 2004) a 3-edge-colouring
+of G - e leaves both ends of e missing the same colour, so G would be
+3-edge-colourable itself.
 """
 
 from __future__ import annotations
@@ -83,8 +88,9 @@ def _three_edge_colouring(
 
     Positional over g's edges; excluded edges read None.  Iterative, with
     an explicit stack of branch points and a trail of coloured edges, so no
-    recursion limit bounds the graph size.  Forcing, branch rule and colour
-    order are those of the witness contract in the module docstring.
+    recursion limit bounds the graph size.  Forcing, branch rule, colour
+    order and symmetry rule are those of the witness contract in the module
+    docstring.
     """
     ends = g.edges
     around: list[list[int]] = [[] for _ in range(g.vertex_count)]
@@ -142,16 +148,23 @@ def _three_edge_colouring(
                     fresh = e
         return fresh
 
-    stack: list[list[int]] = []  # branch points: [edge, trail length, colours left]
+    # branch points: [edge, trail length, colours left, colours in use]
+    stack: list[list[int]] = []
     while True:
         e = branch_edge()
         if e is None:
             return [_COLOUR_OF_BIT.get(bit) for bit in bit_of]
+        # forcing adds no colour while fewer than two are in use, so the
+        # branch choices on the stack give the colours in use wherever that
+        # matters; a third colour forced in leaves one unused, which is kept
+        in_use = stack[-1][3] | bit_of[stack[-1][0]] if stack else 0
         u, v = ends[e]
-        stack.append([e, len(trail), 7 & ~(used[u] | used[v])])
+        free = 7 & ~(used[u] | used[v])
+        unused = free & ~in_use
+        stack.append([e, len(trail), free & in_use | unused & -unused, in_use])
         while stack:
             point = stack[-1]
-            e, mark, left = point
+            e, mark, left, _ = point
             undo(mark)
             if not left:
                 stack.pop()
@@ -233,7 +246,11 @@ def solve_exact(g: Graph) -> SolveResult:
     3-edge-colourable, and the rest is coloured by a most-constrained-edge
     backtrack (lowest edge id on ties, alpha < beta < gamma).  Forcing edges
     with one free colour does not change that first colouring, since the
-    forcing fixpoint does not depend on its order.  Cubic components skip
+    forcing fixpoint does not depend on its order.  Nor does breaking the
+    alpha/beta/gamma symmetry: a branch point tries only the lowest of its
+    free colours that the partial colouring does not use yet, since each
+    other unused one would only repeat, colours swapped, a subtree that has
+    already failed.  Cubic components skip
     the size-one matchings after size zero fails, by the parity lemma
     (Steffen, J. Graph Theory 2004): s(G) is never 1 on a cubic graph.
     """

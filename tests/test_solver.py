@@ -9,6 +9,7 @@ frozen copy of the backtracking perfect-matching search it replaced.
 
 import itertools
 import random
+import sys
 from pathlib import Path
 from typing import Optional
 
@@ -202,6 +203,65 @@ def test_parity_skip_sound(cubic_corpus):
         assert g.is_connected() and g.is_cubic()
         for e in range(g.edge_count):
             assert reference_three_colour(g, frozenset({e})) is None
+
+
+def search_with_branch_choices(g: Graph) -> tuple:
+    """The search's result and the colour choices it tried at branch points:
+    each choice is followed by exactly one call of its propagate."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "propagate" and frame.f_globals["__name__"] == "deltamin.solver":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        result = _three_edge_colouring(g)
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+@pytest.mark.parametrize("name, k, choices", [
+    ("petersen", None, 8),
+    ("flower", 5, 44),
+    ("flower", 7, 220),
+], ids=["petersen", "J5", "J7"])
+def test_refutation_effort_is_pinned(name, k, choices):
+    # while at most one colour is in use, a branch point tries only the
+    # lowest unused free colour; without that rule these refutations try
+    # 45, 261 and 1,317 colours
+    assert search_with_branch_choices(make_named(name, k)) == (None, choices)
+
+
+def petersen_ring(blocks: int) -> Graph:
+    """Cubic ring of Petersen-minus-edge blocks, s equal to the block count:
+    edge (0, 1) is removed from each copy and vertex 1 of each block is
+    joined to vertex 0 of the next."""
+    base = [e for e in make_named("petersen").edges if e != (0, 1)]
+    edges = []
+    for b in range(blocks):
+        edges += [(u + 10 * b, v + 10 * b) for u, v in base]
+        edges.append((10 * b + 1, 10 * ((b + 1) % blocks)))
+    return Graph(10 * blocks, edges)
+
+
+@pytest.mark.slow
+def test_search_matches_reference_on_cubic_12_deletions():
+    for line in (GOLDEN / "cubic_12.g6").read_text().split():
+        g = parse_graph6(line)
+        for e in [None, *range(g.edge_count)]:
+            excluded = frozenset() if e is None else frozenset({e})
+            assert _three_edge_colouring(g, excluded) == reference_search(g, excluded)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("g", [make_named("flower", 5), petersen_ring(2)], ids=["J5", "ring2"])
+def test_solve_exact_witness_matches_reference_on_snarks(g):
+    r = solve_exact(g)
+    assert r.s_value == 2
+    assert (r.s_value, r.witness.colours) == reference_solve(g)
 
 
 @pytest.mark.parametrize("n", [3000, 3001])
