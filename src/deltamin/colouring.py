@@ -34,9 +34,15 @@ class Colour(enum.Enum):
     def __lt__(self, other: "Colour") -> bool:
         return COLOUR_ORDER.index(self) < COLOUR_ORDER.index(other)
 
+    # Enum hashes the member name in Python; identity hashes in C.  Nothing
+    # may depend on the order of a set of colours, as string hashes are
+    # randomised per process anyway.
+    __hash__ = object.__hash__
+
 
 COLOUR_ORDER = (Colour.ALPHA, Colour.BETA, Colour.GAMMA, Colour.DELTA)
 NON_DELTA = (Colour.ALPHA, Colour.BETA, Colour.GAMMA)
+_CODE = {col: k for k, col in enumerate(COLOUR_ORDER)}  # ColourTable's codes
 
 
 class ColouringKind(enum.Enum):
@@ -83,19 +89,20 @@ class EdgeColouring:
         ]
 
     def classification(self) -> ColouringKind:
-        """Proper, delta-improper (clashes at delta only), or invalid."""
+        """Proper, delta-improper (clashes at delta only), or invalid.
+
+        A colour clashes exactly when its class is not a matching, that is
+        when some vertex repeats in the list of its edges' endpoints."""
+        ends: dict[Colour, list[int]] = {x: [] for x in COLOUR_ORDER}
+        for e, c in zip(self.graph.edges, self.colours):
+            ends[c].extend(e)
         worst = ColouringKind.PROPER
-        for v in range(self.graph.vertex_count):
-            counts: dict[Colour, int] = {}
-            for _, eid in self.graph.adjacency[v]:
-                c = self.colours[eid]
-                counts[c] = counts.get(c, 0) + 1
-            for c, k in counts.items():
-                if k < 2:
-                    continue
-                if c is not Colour.DELTA:
-                    return ColouringKind.INVALID
-                worst = ColouringKind.DELTA_IMPROPER
+        for x, touched in ends.items():
+            if len(touched) == len(set(touched)):
+                continue
+            if x is not Colour.DELTA:
+                return ColouringKind.INVALID
+            worst = ColouringKind.DELTA_IMPROPER
         return worst
 
     def with_colours(self, changes: Mapping[int, Colour]) -> "EdgeColouring":
@@ -209,6 +216,27 @@ def _walk_chain(g: Graph, chain_edges: Callable[[int], list[int]], start: int, e
         eid = onward[0]
 
 
+def _chain_components(g: Graph, chain_edges: Callable[[int], list[int]]) -> list[tuple[bool, list[int], list[int]]]:
+    """Every two-colour chain as (is_cycle, vertices, edge ids): paths first
+    (by lower endpoint), then cycles (by smallest vertex, walked along its
+    lower edge id).  chain_edges(v) lists the chain's edges at v; it is
+    called once per vertex, in ascending order."""
+    at = [chain_edges(v) for v in range(g.vertex_count)]
+    seen: set[int] = set()
+    components = []
+    # every path is walked before the first cycle, so an unseen vertex with
+    # two chain edges lies on a cycle, and the first one met is its smallest
+    for is_cycle in (False, True):
+        for v, here in enumerate(at):
+            if len(here) == 1 + is_cycle and v not in seen:
+                verts, eids = _walk_chain(g, at.__getitem__, v, min(here))
+                # alternation of two colours forces even length
+                assert not is_cycle or len(eids) % 2 == 0
+                seen.update(verts)
+                components.append((is_cycle, verts, eids))
+    return components
+
+
 def kempe_decompose(c: EdgeColouring, x: Colour, y: Colour) -> KempeDecomposition:
     """Split the edges coloured x or y into maximal paths and even cycles.
 
@@ -220,20 +248,11 @@ def kempe_decompose(c: EdgeColouring, x: Colour, y: Colour) -> KempeDecompositio
     """
     if x is y:
         raise DomainError("need two distinct colours")
-    at = [_chain_edges(c, v, x, y) for v in range(c.graph.vertex_count)]
-    seen: set[int] = set()
-    components: list[KempeComponent] = []
-    # every path is walked before the first cycle, so an unseen vertex with
-    # two chain edges lies on a cycle, and the first one met is its smallest
-    for is_cycle in (False, True):
-        for v, here in enumerate(at):
-            if len(here) == 1 + is_cycle and v not in seen:
-                verts, eids = _walk_chain(c.graph, at.__getitem__, v, min(here))
-                # alternation of two colours forces even length
-                assert not is_cycle or len(eids) % 2 == 0
-                seen.update(verts)
-                components.append(KempeComponent(is_cycle, tuple(verts), tuple(eids)))
-    return KempeDecomposition(c, (x, y) if x < y else (y, x), tuple(components))
+    components = tuple(
+        KempeComponent(is_cycle, tuple(verts), tuple(eids))
+        for is_cycle, verts, eids in _chain_components(c.graph, lambda v: _chain_edges(c, v, x, y))
+    )
+    return KempeDecomposition(c, (x, y) if x < y else (y, x), components)
 
 
 def kempe_swap(c: EdgeColouring, d: KempeDecomposition, index: int) -> EdgeColouring:
@@ -271,6 +290,78 @@ def kempe_path_from(c: EdgeColouring, v: int, x: Colour, y: Colour) -> tuple[int
         )
     verts, path = _walk_chain(c.graph, lambda w: _chain_edges(c, w, x, y), v, first[0])
     return verts[-1], path
+
+
+class ColourTable:
+    """A proper colouring held for in-place Kempe moves, so that a move
+    costs the edges it touches rather than a copy of the colouring.
+
+    A colour's code is its index in COLOUR_ORDER (delta is 3).  code[e] is
+    edge e's code; at[4 * v + k] is the edge of code k at vertex v, or -1
+    (properness leaves at most one); deltas is the set of delta edges.
+    """
+
+    __slots__ = ("graph", "code", "at", "deltas")
+
+    def __init__(self, c: EdgeColouring):
+        g = c.graph
+        self.graph = g
+        self.code = [_CODE[col] for col in c.colours]
+        self.at = [-1] * (4 * g.vertex_count)
+        self.deltas = {e for e, k in enumerate(self.code) if k == 3}
+        for e, (a, b) in enumerate(g.edges):
+            k = self.code[e]
+            for slot in (4 * a + k, 4 * b + k):
+                if self.at[slot] != -1:
+                    raise DomainError(f"colouring is not proper at vertex {slot // 4}")
+                self.at[slot] = e
+
+    def colouring(self, codes: Iterable[int]) -> EdgeColouring:
+        """The EdgeColouring of this table's graph with the given codes, such
+        as a snapshot tuple(self.code)."""
+        return EdgeColouring(self.graph, [COLOUR_ORDER[k] for k in codes])
+
+    def recolour(self, changes: Mapping[int, int]) -> None:
+        """Give each edge in changes its new code.  Every old slot is cleared
+        before any new one is set, since along a swapped chain an edge takes
+        the slot its neighbour leaves."""
+        ends, code, at = self.graph.edges, self.code, self.at
+        for e in changes:
+            a, b = ends[e]
+            k = code[e]
+            at[4 * a + k] = at[4 * b + k] = -1
+            if k == 3:
+                self.deltas.discard(e)
+        for e, k in changes.items():
+            a, b = ends[e]
+            code[e] = k
+            at[4 * a + k] = at[4 * b + k] = e
+            if k == 3:
+                self.deltas.add(e)
+
+    def _chain_edges(self, x: int, y: int) -> Callable[[int], list[int]]:
+        at = self.at
+        return lambda v: [e for e in (at[4 * v + x], at[4 * v + y]) if e >= 0]
+
+    def path_from(self, v: int, x: int, y: int) -> tuple[int, list[int]]:
+        """kempe_path_from on the table: the far end and edge ids, from v,
+        of the (x, y) path that v ends, which v must."""
+        chain_edges = self._chain_edges(x, y)
+        first = chain_edges(v)
+        if len(first) != 1:
+            raise ContractViolationError(f"expected vertex {v} to end a ({x},{y}) path")
+        verts, path = _walk_chain(self.graph, chain_edges, v, first[0])
+        return verts[-1], path
+
+    def components(self, x: int, y: int) -> list[tuple[bool, list[int], list[int]]]:
+        """The (x, y) Kempe chains in kempe_decompose's order, as (is_cycle,
+        vertices, edge ids)."""
+        return _chain_components(self.graph, self._chain_edges(x, y))
+
+    def swap(self, eids: Iterable[int], x: int, y: int) -> None:
+        """Exchange codes x and y along a chain."""
+        code = self.code
+        self.recolour({e: y if code[e] == x else x for e in eids})
 
 
 def _missing_at(c: EdgeColouring, v: int, skip: int) -> list[Colour]:

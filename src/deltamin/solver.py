@@ -35,11 +35,11 @@ from typing import Iterator, Optional
 from .colouring import (
     NON_DELTA,
     Colour,
+    ColourTable,
     ColouringKind,
     EdgeColouring,
-    kempe_decompose,
-    kempe_path_from,
-    kempe_swap,
+    kempe_decompose,  # noqa: F401  unused here: bench/tracing.py swaps solver.kempe_* by name
+    kempe_swap,  # noqa: F401
     properize,
 )
 from .errors import DomainError, ResourceLimitError
@@ -562,56 +562,41 @@ def _greedy_improper(g: Graph) -> EdgeColouring:
     return EdgeColouring(g, out)
 
 
-def _delta_edges(colours: tuple[Colour, ...]) -> Iterator[int]:
-    """Ids of the delta edges, ascending, found lazily by tuple.index."""
-    e = -1
-    while True:
-        try:
-            e = colours.index(Colour.DELTA, e + 1)
-        except ValueError:
-            return
-        yield e
+def _reduce_once(t: ColourTable) -> bool:
+    """One strict improvement of the delta count, made in place; False when
+    there is none.
 
-
-_PAIRS = ((Colour.ALPHA, Colour.BETA), (Colour.ALPHA, Colour.GAMMA), (Colour.BETA, Colour.GAMMA))
-
-
-def _reduce_once(c: EdgeColouring) -> Optional[EdgeColouring]:
-    """One strict improvement of the delta count, if available.
-
-    For each delta edge: recolour directly when a colour is free at both
-    ends, otherwise look for a two-colour pair whose Kempe paths end at the
-    two endpoints separately; swapping one path aligns the missing colours.
-    At most O(m) to find the delta edges, then O(1) per direct try and the
-    path's length per Kempe try: the path is walked from u (kempe_path_from),
-    and it is u's component of kempe_decompose(c, x, y).
+    For each delta edge, ascending: recolour it directly when a colour is
+    free at both ends, otherwise look for a two-colour pair whose Kempe
+    paths end at the two endpoints separately; swapping one path aligns the
+    missing colours.  O(1) per direct try and the path's length per Kempe
+    try: the path is walked from u, and it is u's component of the
+    pair's kempe_decompose.
     """
-    g = c.graph
-    colours = c.colours
-    for e in _delta_edges(colours):
-        u, v = g.edges[e]
-        at_u = set(c.colours_at(u, skip=e))
-        at_v = set(c.colours_at(v, skip=e))
-        for col in NON_DELTA:
-            if col not in at_u and col not in at_v:
-                return c.with_colours({e: col})
-        for x, y in _PAIRS:
-            u_misses = (x in at_u) != (y in at_u)
-            v_misses = (x in at_v) != (y in at_v)
-            if not (u_misses and v_misses):
+    at = t.at
+    for e in sorted(t.deltas):
+        u, v = t.graph.edges[e]
+        u4, v4 = 4 * u, 4 * v
+        for k in range(3):
+            if at[u4 + k] < 0 and at[v4 + k] < 0:
+                t.recolour({e: k})
+                return True
+        for x, y in ((0, 1), (0, 2), (1, 2)):
+            if (at[u4 + x] < 0) == (at[u4 + y] < 0) or (at[v4 + x] < 0) == (at[v4 + y] < 0):
                 continue
-            far_end, path = kempe_path_from(c, u, x, y)
+            far_end, path = t.path_from(u, x, y)
             if far_end == v:
                 continue
             # u and v see different ones of x, y (seeing the same one would
             # leave the other free at both ends, taken above), so the swap
             # frees at u the colour v misses
-            changes = {eid: y if colours[eid] is x else x for eid in path}
-            want = x if x not in at_v else y
-            assert changes[path[0]] is not want
+            changes = {eid: y if t.code[eid] == x else x for eid in path}
+            want = x if at[v4 + x] < 0 else y
+            assert changes[path[0]] != want
             changes[e] = want
-            return c.with_colours(changes)
-    return None
+            t.recolour(changes)
+            return True
+    return False
 
 
 def heuristic_descent(g: Graph, seed: int = 0, max_rounds: int = 64) -> SolveResult:
@@ -619,39 +604,44 @@ def heuristic_descent(g: Graph, seed: int = 0, max_rounds: int = 64) -> SolveRes
 
     Cubic graphs with a 2-factor start from the odd-cycle colouring (method
     TwoFactorUpperBound); everything else starts from greedy plus properize
-    (method HeuristicUpperBound).  Rounds alternate strict Kempe
-    improvements with seeded random swaps; the best colouring seen wins.
-    Deterministic for fixed (g, seed, max_rounds).
+    (method HeuristicUpperBound).  Each round makes the first strict
+    improvement it finds, in this order: delta edges by ascending id; for
+    each, a direct recolour with alpha, beta, then gamma, then a Kempe path
+    swap on the pairs (alpha, beta), (alpha, gamma), (beta, gamma).  A round
+    with none (a plateau) swaps a seeded random component of a random pair
+    of the four colours, which may add delta edges.  The best colouring
+    seen wins.  Deterministic for fixed (g, seed, max_rounds).
+
+    The rounds run on a ColourTable: an improving round costs a sort of the
+    delta edges and the edges it looks at and moves (plus a copy of the
+    codes when it sets a new best), a plateau round one pass over the
+    vertices to list the pair's chains.
     """
     if max_rounds < 0:
         raise DomainError("max_rounds must be non-negative")
     rng = random.Random(f"descent:{seed}")
     factor = find_two_factor(g)
     if factor is not None:
-        current = lemma1_colouring(g, factor)
+        start = lemma1_colouring(g, factor)
         method = Method.TWO_FACTOR_UPPER_BOUND
     else:
-        current = properize(_greedy_improper(g))
+        start = properize(_greedy_improper(g))
         method = Method.HEURISTIC_UPPER_BOUND
-    best = current
-    count = best_count = current.delta_count()
+    table = ColourTable(start)
+    best, best_count = tuple(table.code), len(table.deltas)
     for _ in range(max_rounds):
         if best_count == 0:
             break
-        improved = _reduce_once(current)
-        if improved is not None:
-            current = improved
-            count -= 1
-        else:
-            # plateau: random Kempe swap, possibly worsening, to escape
-            x, y = rng.sample(list(Colour), 2)
-            d = kempe_decompose(current, x, y)
-            if not d.components:
+        if not _reduce_once(table):
+            # plateau: random Kempe swap, possibly worsening, to escape;
+            # the codes 0-3 sample as list(Colour) would
+            x, y = rng.sample(range(4), 2)
+            components = table.components(x, y)
+            if not components:
                 continue
-            idx = rng.randrange(len(d.components))
-            current = kempe_swap(current, d, idx)
-            count = current.delta_count()
-        if count < best_count:
-            best, best_count = current, count
-    assert best.classification() is ColouringKind.PROPER
-    return SolveResult(best_count, best, method)
+            table.swap(components[rng.randrange(len(components))][2], x, y)
+        if len(table.deltas) < best_count:
+            best, best_count = tuple(table.code), len(table.deltas)
+    witness = table.colouring(best)
+    assert witness.classification() is ColouringKind.PROPER
+    return SolveResult(best_count, witness, method)

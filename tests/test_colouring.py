@@ -1,5 +1,6 @@
 """Colourings, Kempe machinery, and the improper-to-proper repair."""
 
+import itertools
 import random
 from pathlib import Path
 
@@ -15,13 +16,21 @@ from deltamin import (
     kempe_decompose,
     kempe_swap,
     heuristic_descent,
+    checks,
     make_named,
     parse_graph6,
     properize,
     random_subcubic,
     solve_exact,
 )
-from deltamin.colouring import NON_DELTA, KempeComponent, KempeDecomposition, kempe_path_from
+from deltamin.colouring import (
+    COLOUR_ORDER,
+    NON_DELTA,
+    ColourTable,
+    KempeComponent,
+    KempeDecomposition,
+    kempe_path_from,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -189,6 +198,48 @@ def test_classification_kinds():
     assert EdgeColouring(g, [A, B]).classification() is ColouringKind.PROPER
     assert EdgeColouring(g, [D, D]).classification() is ColouringKind.DELTA_IMPROPER
     assert EdgeColouring(g, [A, A]).classification() is ColouringKind.INVALID
+
+
+def reference_classification(c: EdgeColouring) -> ColouringKind:
+    """Frozen copy of the earlier classification, which counted the colours
+    at each vertex in a dict; the test oracle for the matching test."""
+    worst = ColouringKind.PROPER
+    for v in range(c.graph.vertex_count):
+        counts: dict[Colour, int] = {}
+        for _, eid in c.graph.adjacency[v]:
+            col = c.colours[eid]
+            counts[col] = counts.get(col, 0) + 1
+        for col, k in counts.items():
+            if k < 2:
+                continue
+            if col is not D:
+                return ColouringKind.INVALID
+            worst = ColouringKind.DELTA_IMPROPER
+    return worst
+
+
+def test_classification_matches_frozen_reference():
+    # proper witnesses, delta-improper colourings, the same with one edge
+    # recoloured to clash on a proper colour, and edgeless graphs
+    proper = [solve_exact(parse_graph6(g6)).witness for g6 in (GOLDEN / "cubic_10.g6").read_text().split()]
+    improper = checks.random_improper_colourings(random.Random("classification"), 150, range(2, 30))
+    proper += [properize(c) for c in improper]
+    clashing = []
+    for c in proper + improper:
+        for e, (u, _) in enumerate(c.graph.edges):
+            for _, f in c.graph.adjacency[u]:
+                if f != e and c.colours[f] is not D:
+                    clashing.append(c.with_colours({e: c.colours[f]}))
+    inputs = proper + improper + clashing + [EdgeColouring(Graph(n, []), []) for n in (0, 1, 5)]
+    kinds = {kind: 0 for kind in ColouringKind}
+    for c in inputs:
+        want = reference_classification(c)
+        assert c.classification() is want, c
+        kinds[want] += 1
+    assert min(kinds.values()) >= 50, kinds
+    # a clash on each of alpha, beta and gamma alone reads invalid
+    for col in NON_DELTA:
+        assert EdgeColouring(Graph(3, [(0, 1), (1, 2)]), [col, col]).classification() is ColouringKind.INVALID
 
 
 def test_with_colours_is_functional():
@@ -400,6 +451,52 @@ def test_kempe_path_from_guards():
     # vertex 2 sees both colours, so it ends no path
     with pytest.raises(ContractViolationError):
         kempe_path_from(c, 2, A, B)
+
+
+def table_state(t: ColourTable) -> tuple:
+    return t.code, t.at, t.deltas
+
+
+def test_colour_table_components_match_kempe_decompose():
+    # every ordered pair of distinct colours, on the exact witnesses of
+    # cubic_10.g6 and on properized random delta-improper colourings, then
+    # again after each of a run of random swaps made on the table
+    rng = random.Random("colour-table")
+    inputs = [solve_exact(parse_graph6(g6)).witness for g6 in (GOLDEN / "cubic_10.g6").read_text().split()]
+    inputs += [properize(c) for c in checks.random_improper_colourings(rng, 120, range(2, 40))]
+    compared = cycles = walked = 0
+    for c in inputs:
+        t = ColourTable(c)
+        for step in range(4):
+            c = t.colouring(t.code)
+            assert table_state(t) == table_state(ColourTable(c))
+            for x, y in itertools.permutations(range(4), 2):
+                want = kempe_decompose(c, COLOUR_ORDER[x], COLOUR_ORDER[y]).components
+                got = t.components(x, y)
+                assert got == [(k.is_cycle, list(k.vertices), list(k.edges)) for k in want]
+                compared += 1
+                cycles += sum(k.is_cycle for k in want)
+                for is_cycle, verts, _ in got:
+                    if not is_cycle:
+                        far, path = t.path_from(verts[0], x, y)
+                        assert (far, path) == kempe_path_from(c, verts[0], COLOUR_ORDER[x], COLOUR_ORDER[y])
+                        walked += 1
+            x, y = rng.sample(range(4), 2)
+            components = t.components(x, y)
+            if components:
+                t.swap(rng.choice(components)[2], x, y)
+    assert compared > 1500 and cycles > 300 and walked > 3000, (compared, cycles, walked)
+
+
+def test_colour_table_guards():
+    with pytest.raises(DomainError):
+        ColourTable(EdgeColouring(Graph(3, [(0, 1), (1, 2)]), [D, D]))
+    t = ColourTable(EdgeColouring(Graph(3, [(0, 1), (1, 2)]), [A, B]))
+    with pytest.raises(ContractViolationError):
+        t.path_from(1, 0, 1)
+    # an edge moving into the slot its neighbour leaves keeps the slot
+    t.recolour({0: 1, 1: 0})
+    assert table_state(t) == ([1, 0], [-1, 0, -1, -1, 1, 0, -1, -1, 1, -1, -1, -1], set())
 
 
 # ---------------------------------------------------------------------------

@@ -685,9 +685,12 @@ def reference_reduce_once(c):
     return None
 
 
-def reference_descent(g: Graph, seed: int, max_rounds: int = 64):
+def reference_descent(g: Graph, seed: int, max_rounds: int = 64, rounds: Optional[dict] = None):
     """The descent loop of heuristic_descent on reference_reduce_once, with
-    the delta count recounted every round as before."""
+    the delta count recounted every round as before.  rounds, when given,
+    counts improving and plateau rounds and keeps the most edges one
+    improving round recoloured."""
+    rounds = {} if rounds is None else rounds
     rng = random.Random(f"descent:{seed}")
     factor = find_two_factor(g)
     current = lemma1_colouring(g, factor) if factor is not None else properize(_greedy_improper(g))
@@ -697,8 +700,12 @@ def reference_descent(g: Graph, seed: int, max_rounds: int = 64):
             break
         improved = reference_reduce_once(current)
         if improved is not None:
+            moved = sum(a is not b for a, b in zip(current.colours, improved.colours))
+            rounds["improving"] = rounds.get("improving", 0) + 1
+            rounds["most_moved"] = max(rounds.get("most_moved", 0), moved)
             current = improved
         else:
+            rounds["plateau"] = rounds.get("plateau", 0) + 1
             x, y = rng.sample(list(Colour), 2)
             d = kempe_decompose(current, x, y)
             if not d.components:
@@ -709,9 +716,55 @@ def reference_descent(g: Graph, seed: int, max_rounds: int = 64):
     return best.delta_count(), best.colours
 
 
+def no_perfect_matching_cubic() -> Graph:
+    """Cubic on 16 vertices with no perfect matching, so no 2-factor: three
+    copies of K4 with one edge subdivided, the subdividing vertices joined
+    to a centre, whose removal leaves three odd components."""
+    edges = []
+    for b in range(3):
+        s, a, c, d, e = range(1 + 5 * b, 6 + 5 * b)
+        edges += [(0, s), (s, a), (s, c), (a, d), (a, e), (c, d), (c, e), (d, e)]
+    return Graph(16, edges)
+
+
+def descent_inputs(sizes, flowers, seeds, rounds):
+    """(graph, seed, max_rounds) for the frozen-reference descent check:
+    random subcubic graphs of the given sizes, flower snarks J_k, and inputs
+    with no 2-factor (subcubic, disconnected or matching-free), which start
+    from greedy plus properize."""
+    flower5 = make_named("flower", 5)
+    greedy_start = [
+        no_perfect_matching_cubic(),
+        Graph(5, []),
+        Graph(4, [(0, 1), (0, 2), (0, 3)]),
+        make_named("cycle", 9),
+        Graph(22, list(flower5.edges) + [(20, 21)]),
+        Graph(20, [e for e in make_named("petersen").edges if 0 not in e] + [(10 + i, 11 + i) for i in range(9)]),
+    ]
+    out = []
+    for seed in seeds:
+        out += [(random_subcubic(n, 4300 + n + seed), seed, rounds) for n in sizes]
+        out += [(make_named("flower", k), seed, 200) for k in flowers]
+        out += [(g, seed, rounds) for g in greedy_start]
+    return out
+
+
 def test_heuristic_descent_matches_frozen_reference():
     graphs = [make_named("flower", k) for k in (5, 7, 9)]
     graphs += [random_subcubic(20 + 7 * i, 4100 + i) for i in range(40)]
-    for i, g in enumerate(graphs):
-        got = heuristic_descent(g, seed=i, max_rounds=8 + i % 60)
-        assert (got.s_value, got.witness.colours) == reference_descent(g, i, 8 + i % 60)
+    cases = [(g, i, 8 + i % 60) for i, g in enumerate(graphs)]
+    cases += descent_inputs(range(200, 501, 100), (5, 11, 15), (0, 1), 64)
+    rounds: dict = {}
+    for g, seed, max_rounds in cases:
+        got = heuristic_descent(g, seed=seed, max_rounds=max_rounds)
+        assert (got.s_value, got.witness.colours) == reference_descent(g, seed, max_rounds, rounds)
+    assert rounds["plateau"] > 1000 and rounds["improving"] > 500 and rounds["most_moved"] > 20, rounds
+
+
+@pytest.mark.slow
+def test_heuristic_descent_matches_frozen_reference_at_scale():
+    rounds: dict = {}
+    for g, seed, max_rounds in descent_inputs(range(200, 501, 25), range(5, 16, 2), range(2, 7), 200):
+        got = heuristic_descent(g, seed=seed, max_rounds=max_rounds)
+        assert (got.s_value, got.witness.colours) == reference_descent(g, seed, max_rounds, rounds)
+    assert rounds["plateau"] > 5000 and rounds["improving"] > 2000, rounds
