@@ -5,6 +5,9 @@ graph6 lines (or a single edge-list file), reports stream out as JSON lines;
 solve also offers CSV and DOT.  Input "-" reads standard input.  The env
 var DELTAMIN_LOG sets log verbosity (DEBUG, INFO, ...).
 
+Each command imports the modules it runs at its own top, so that generate,
+for one, starts without the solver.
+
 All records are emitted in input order with sorted keys, so output is
 byte-stable for a fixed (input, config, seed).
 """
@@ -13,41 +16,62 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
-import logging
 import os
 import random
 import sys
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, TextIO
 
 from . import graphs as graphlib
-from .colouring import Colour, EdgeColouring
 from .errors import DeltaMinError, DomainError, GraphFormatError
 from .graphs import Graph, emit_graph6, enumerate_cubic, make_named, parse_edge_list, parse_graph6, random_subcubic
-from .solver import Method, SolveResult, heuristic_descent, solve_exact
-from .structure import verify_theorem1
 
-log = logging.getLogger("deltamin")
+if TYPE_CHECKING:
+    import logging
+
+    from .solver import SolveResult
 
 DEFAULT_EXACT_LIMIT = 14
 
 
-@dataclass
 class RunConfig:
-    command: str
-    input_path: Optional[str] = None
-    format: str = "graph6"
-    output: str = "json"
-    exact_limit: int = DEFAULT_EXACT_LIMIT
-    seed: int = 0
-    jobs: int = 1
+    """The settings of one solve, verify, analyze or suite run."""
 
-    def __post_init__(self) -> None:
-        if self.exact_limit < 4:
+    def __init__(
+        self,
+        command: str,
+        input_path: Optional[str] = None,
+        format: str = "graph6",
+        output: str = "json",
+        exact_limit: int = DEFAULT_EXACT_LIMIT,
+        seed: int = 0,
+        jobs: int = 1,
+    ) -> None:
+        if exact_limit < 4:
             raise ValueError("--exact-limit must be at least 4")
-        if self.jobs < 1:
+        if jobs < 1:
             raise ValueError("--jobs must be at least 1")
+        self.command = command
+        self.input_path = input_path
+        self.format = format
+        self.output = output
+        self.exact_limit = exact_limit
+        self.seed = seed
+        self.jobs = jobs
+
+
+def _log() -> logging.Logger:
+    """The package logger, logging to standard error at the level DELTAMIN_LOG
+    names (WARNING when it is unset or names no level) unless logging is
+    configured already.  main calls it at start-up when DELTAMIN_LOG is set;
+    otherwise logging is imported and configured at the first line logged."""
+    import logging
+
+    level = getattr(logging, os.environ.get("DELTAMIN_LOG", "WARNING").upper(), None)
+    logging.basicConfig(
+        level=level if isinstance(level, int) else logging.WARNING,
+        format="%(levelname)s %(name)s: %(message)s",
+    )
+    return logging.getLogger("deltamin")
 
 
 # ---------------------------------------------------------------------------
@@ -103,26 +127,32 @@ def _parse_payload(payload: str, fmt: str) -> Graph:
 # message or None, and whether it passed (for analyze: every clause holds).
 Output = tuple[str, Optional[str], bool]
 
+# keyed by colour code (Colour.value)
 _DOT_EDGE_STYLE = {
-    Colour.ALPHA: 'color="#1b9e77"',
-    Colour.BETA: 'color="#7570b3"',
-    Colour.GAMMA: 'color="#66a61e"',
-    Colour.DELTA: 'color="#d95f02",style=bold,penwidth=3',
+    "a": 'color="#1b9e77"',
+    "b": 'color="#7570b3"',
+    "g": 'color="#66a61e"',
+    "d": 'color="#d95f02",style=bold,penwidth=3',
 }
 
 
 def _json_line(rec: dict) -> str:
+    import json
+
     return json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _dot_block(index: int, g: Graph, result: SolveResult) -> str:
     stats = f"n={g.vertex_count} m={g.edge_count} s={result.s_value} method={result.method.value}"
     edges = zip(g.edges, result.witness.colours)
-    body = "".join(f"  {u} -- {v} [{_DOT_EDGE_STYLE[c]}];\n" for (u, v), c in edges)
+    body = "".join(f"  {u} -- {v} [{_DOT_EDGE_STYLE[c.value]}];\n" for (u, v), c in edges)
     return f"graph g{index} {{\n  // {stats}\n{body}}}\n"
 
 
 def _render(cfg: RunConfig, index: int, g: Graph) -> Output:
+    # cmd_solve or cmd_analyze has loaded these modules
+    from .solver import Method, heuristic_descent, solve_exact
+
     if g.vertex_count <= cfg.exact_limit:
         result = solve_exact(g)
     else:
@@ -142,6 +172,8 @@ def _render(cfg: RunConfig, index: int, g: Graph) -> Output:
     }
     if cfg.command != "analyze":
         return _json_line(rec), None, True
+    from .structure import verify_theorem1
+
     report = verify_theorem1(result.witness)
     rec["verification"] = report.to_dict()
     rec["parity"] = None
@@ -158,6 +190,9 @@ def _render(cfg: RunConfig, index: int, g: Graph) -> Output:
 def _verify_output(cfg: RunConfig, index: int, g: Graph, colouring: Optional[str]) -> Output:
     if colouring is None:
         return _error_output(cfg, index, "no colouring line for this graph", None)
+    from .colouring import EdgeColouring
+    from .structure import verify_theorem1
+
     try:
         report = verify_theorem1(EdgeColouring.from_json(g, colouring))
     except DeltaMinError as exc:
@@ -186,7 +221,7 @@ def _graph_output(cfg: RunConfig, index: int, payload: str, colouring: Optional[
             return _verify_output(cfg, index, g, colouring)
         return _render(cfg, index, g)
     except Exception as exc:  # one graph's failure must not lose the rest of the batch
-        log.exception("graph %d", index)
+        _log().exception("graph %d", index)
         return _error_output(cfg, index, f"{type(exc).__name__}: {exc}", None)
 
 
@@ -220,13 +255,16 @@ def _run_batch(cfg: RunConfig, items: list[Item], out: TextIO) -> int:
         for (index, _, _), (text, error, passed) in zip(chunk, outputs):
             out.write(text)
             if error is not None:
-                log.error("graph %d: %s", index, error)
+                _log().error("graph %d: %s", index, error)
             if not passed:
                 status = 1
     return status
 
 
 def cmd_solve(cfg: RunConfig, out: Optional[TextIO] = None) -> int:
+    # imported before the pool forks, so that workers do not import it again
+    from . import solver  # noqa: F401
+
     out = out if out is not None else sys.stdout
     payloads = _load_graphs(cfg)
     if cfg.output == "csv":
@@ -236,6 +274,9 @@ def cmd_solve(cfg: RunConfig, out: Optional[TextIO] = None) -> int:
 
 def cmd_analyze(cfg: RunConfig, out: Optional[TextIO] = None) -> int:
     """Solve, verify the witness, and report parity in one record per graph."""
+    # imported before the pool forks, so that workers do not import them again
+    from . import solver, structure  # noqa: F401
+
     return _run_batch(cfg, _load_graphs(cfg), out if out is not None else sys.stdout)
 
 
@@ -246,6 +287,9 @@ def cmd_analyze(cfg: RunConfig, out: Optional[TextIO] = None) -> int:
 def cmd_verify(cfg: RunConfig, colouring_path: str, out: Optional[TextIO] = None) -> int:
     """Check each graph's colouring, given by the line at the same position
     in the colouring file, against every structural clause."""
+    # imported before the pool forks, so that workers do not import them again
+    from . import colouring, structure  # noqa: F401
+
     if cfg.input_path == "-" and colouring_path == "-":
         raise _Unreadable("graphs and colourings cannot both be read from standard input")
     items = _load_graphs(cfg)
@@ -418,11 +462,8 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    level = getattr(logging, os.environ.get("DELTAMIN_LOG", "WARNING").upper(), None)
-    logging.basicConfig(
-        level=level if isinstance(level, int) else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    if "DELTAMIN_LOG" in os.environ:
+        _log()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "generate":

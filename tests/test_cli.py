@@ -22,7 +22,7 @@ from deltamin import (
     random_subcubic,
     solve_exact,
 )
-from deltamin import checks, cli
+from deltamin import checks, solver, structure
 from deltamin.cli import RunConfig, cmd_analyze, cmd_solve, cmd_suite, cmd_verify, main
 
 PETERSEN_G6 = emit_graph6(make_named("petersen"))
@@ -214,7 +214,7 @@ def test_solve_isolates_a_failing_graph(tmp_path, capsys, caplog, monkeypatch, e
     # workers fork, so they inherit the patched solver; the failure becomes
     # that graph's record and the graphs around it, in its chunk too (3 per
     # chunk with --jobs 1, 2 with --jobs 2), still come out in order
-    monkeypatch.setattr(cli, "solve_exact", _failing_on_petersen(cli.solve_exact, exc))
+    monkeypatch.setattr(solver, "solve_exact", _failing_on_petersen(solver.solve_exact, exc))
     lines = ["C~"] * 4 + [PETERSEN_G6, emit_graph6(make_named("k33"))] + ["C~"] * 3
     path = write(tmp_path, "in.g6", "".join(ln + "\n" for ln in lines))
     code, out, _ = run_main(["solve", path, "--jobs", jobs], capsys=capsys)
@@ -227,29 +227,100 @@ def test_solve_isolates_a_failing_graph(tmp_path, capsys, caplog, monkeypatch, e
 
 
 def test_solve_does_not_catch_keyboard_interrupt(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "solve_exact", _failing_on_petersen(cli.solve_exact, KeyboardInterrupt()))
+    monkeypatch.setattr(solver, "solve_exact", _failing_on_petersen(solver.solve_exact, KeyboardInterrupt()))
     path = write(tmp_path, "in.g6", "C~\n" + PETERSEN_G6 + "\n")
     with pytest.raises(KeyboardInterrupt):
         main(["solve", path])
     capsys.readouterr()
 
 
-def test_solve_builds_no_pool_without_work(tmp_path):
-    # empty input and --jobs 1 never import the process pool, and solve
-    # never loads the property checks
-    empty = write(tmp_path, "empty.g6", "")
-    one = write(tmp_path, "one.g6", "C~\n")
+def _modules_loaded_by(*argvs):
+    """The modules a fresh interpreter loads, beyond those it starts with,
+    to import the CLI and run main on each argv."""
     script = (
         "import sys\n"
+        "start = set(sys.modules)\n"
         "from deltamin.cli import main\n"
-        f"main(['solve', {empty!r}, '--jobs', '2'])\n"
-        f"main(['solve', {one!r}, '--jobs', '1'])\n"
-        "print('concurrent.futures' in sys.modules)\n"
-        "print('deltamin.checks' in sys.modules)\n"
+        + "".join(f"main({argv!r})\n" for argv in argvs)
+        + "print(' '.join(sorted(set(sys.modules) - start)))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2:] == ["False", "False"]
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_solve_builds_no_pool_without_work(tmp_path):
+    # empty input and --jobs 1 never import the process pool; solve loads
+    # the solver but neither the structure layer nor the property checks
+    empty = write(tmp_path, "empty.g6", "")
+    one = write(tmp_path, "one.g6", "C~\n")
+    loaded = _modules_loaded_by(["solve", empty, "--jobs", "2"], ["solve", one, "--jobs", "1"])
+    assert "deltamin.solver" in loaded
+    assert not loaded & {"concurrent.futures", "deltamin.structure", "deltamin.checks"}
+
+
+@pytest.mark.parametrize("argv", [["--named", "k4"], ["--cubic", "6"], ["--random", "8"]], ids=lambda a: a[0])
+def test_generate_loads_only_the_graph_codecs(argv):
+    loaded = _modules_loaded_by(["generate", *argv])
+    assert "deltamin.graphs" in loaded
+    assert not loaded & {
+        "deltamin.colouring", "deltamin.solver", "deltamin.structure", "deltamin.checks",
+        "logging", "json", "dataclasses",
+    }
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_analyze_and_verify_load_the_structure_layer(tmp_path, command):
+    grf = write(tmp_path, "in.g6", "C~\n")
+    col = write(tmp_path, "colours.jsonl", witness_line("C~") + "\n")
+    argv = [command, grf] + (["--colouring", col] if command == "verify" else [])
+    assert "deltamin.structure" in _modules_loaded_by(argv)
+
+
+# a pool that records the package modules loaded when it is built, which is
+# when the real one forks its workers, and maps in-process
+_RECORDING_POOL = """
+import concurrent.futures
+at_fork = []
+
+class RecordingPool:
+    def __init__(self, max_workers):
+        at_fork.append(sorted(m for m in sys.modules if m.startswith("deltamin.")))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+concurrent.futures.ProcessPoolExecutor = RecordingPool
+"""
+
+
+@pytest.mark.parametrize("command, needed", [
+    ("solve", {"deltamin.solver"}),
+    ("analyze", {"deltamin.solver", "deltamin.structure"}),
+    ("verify", {"deltamin.colouring", "deltamin.structure"}),
+])
+def test_solving_modules_load_before_the_pool_forks(command, needed):
+    # a module first imported in a worker is imported again by every worker
+    argv = [command, str(GOLDEN / f"{'verify' if command == 'verify' else 'solve'}_batch.g6"), "--jobs", "2"]
+    if command == "verify":
+        argv += ["--colouring", str(GOLDEN / "verify_batch_colouring.jsonl")]
+    script = (
+        "import sys\n"
+        + _RECORDING_POOL
+        + "from deltamin.cli import main\n"
+        f"main({argv!r})\n"
+        "assert len(at_fork) == 1\n"
+        "print(' '.join(at_fork[0]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert needed <= set(proc.stdout.splitlines()[-1].split())
 
 
 @pytest.mark.parametrize("graphs, jobs, workers", [(2, 64, 2), (9, 2, 2)])
@@ -396,14 +467,14 @@ def test_verify_batch_matches_golden(capsys, jobs):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_isolates_a_failing_graph(tmp_path, capsys, monkeypatch, jobs):
-    real_verify = cli.verify_theorem1
+    real_verify = structure.verify_theorem1
 
     def verify(colouring):
         if colouring.graph.vertex_count == 4:
             raise RuntimeError("boom")
         return real_verify(colouring)
 
-    monkeypatch.setattr(cli, "verify_theorem1", verify)
+    monkeypatch.setattr(structure, "verify_theorem1", verify)
     grf = write(tmp_path, "in.g6", "C~\n" + PETERSEN_G6 + "\n")
     col = write(
         tmp_path,
@@ -486,7 +557,7 @@ def test_analyze_parity_matches_the_reference_signature(capsys):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_analyze_isolates_a_failing_graph(tmp_path, capsys, monkeypatch, jobs):
-    monkeypatch.setattr(cli, "solve_exact", _failing_on_petersen(cli.solve_exact, RuntimeError("boom")))
+    monkeypatch.setattr(solver, "solve_exact", _failing_on_petersen(solver.solve_exact, RuntimeError("boom")))
     lines = ["C~"] * 4 + [PETERSEN_G6] + ["C~"] * 4
     path = write(tmp_path, "in.g6", "".join(ln + "\n" for ln in lines))
     code, out, _ = run_main(["analyze", path, "--jobs", jobs], capsys=capsys)
@@ -678,6 +749,33 @@ def test_generate_streams_to_a_closed_pipe():
     assert "Traceback" not in err, err
     # about 0.2 s; building every graph first took 2.8 s
     assert (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime) < 1.0
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_error_log_line_is_unchanged(tmp_path, monkeypatch, jobs):
+    # logging is configured at the first line logged, in the format that was
+    # configured at start-up before
+    monkeypatch.delenv("DELTAMIN_LOG", raising=False)
+    path = write(tmp_path, "in.g6", "C~\nC\nC~\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "deltamin", "solve", path, "--jobs", jobs],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "ERROR deltamin: graph 1: truncated graph6 data: expected 2 bytes, got 1 (byte offset 1)\n"
+
+
+def test_log_env_var_sets_the_level(monkeypatch):
+    monkeypatch.setenv("DELTAMIN_LOG", "DEBUG")
+    script = (
+        "import logging\n"
+        "from deltamin.cli import main\n"
+        "main(['generate', '--named', 'k4'])\n"
+        "print(logging.getLogger().level == logging.DEBUG)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["C~", "True"]
 
 
 def test_log_env_var_tolerated(monkeypatch, capsys):
