@@ -5,6 +5,10 @@ overflow colour: the quantity every solver in this package minimises is the
 number of delta edges, and "delta-improper" colourings (monochromatic
 adjacencies allowed at delta only) are the halfway state the properize
 reduction repairs.
+
+EdgeColouring is the record: immutable, checked, and what the solvers
+return.  ColourTable is where colours move: the repair, the descent and the
+verifier's joining paths make their Kempe moves and walks on it in place.
 """
 
 from __future__ import annotations
@@ -270,35 +274,17 @@ def kempe_swap(c: EdgeColouring, d: KempeDecomposition, index: int) -> EdgeColou
     return c.with_colours(changes)
 
 
-def kempe_path_from(c: EdgeColouring, v: int, x: Colour, y: Colour) -> tuple[int, list[int]]:
-    """Walk the (x, y) Kempe path that ends at v: its far end, and its edge
-    ids in order from v.
-
-    v must see exactly one of x and y, which makes it an end of a path
-    component of kempe_decompose(c, x, y); this is that component, walked
-    from v, at a cost of its length instead of kempe_decompose's O(m).
-    Raises ContractViolationError when v sees neither or both colours, and
-    DomainError when the restriction to {x, y} is improper at a vertex the
-    walk reaches.
-    """
-    if x is y:
-        raise DomainError("need two distinct colours")
-    first = _chain_edges(c, v, x, y)
-    if len(first) != 1:
-        raise ContractViolationError(
-            f"expected vertex {v} to end a ({x.value},{y.value}) path"
-        )
-    verts, path = _walk_chain(c.graph, lambda w: _chain_edges(c, w, x, y), v, first[0])
-    return verts[-1], path
-
-
 class ColourTable:
-    """A proper colouring held for in-place Kempe moves, so that a move
-    costs the edges it touches rather than a copy of the colouring.
+    """A delta-improper colouring held for in-place Kempe moves, so that a
+    move costs the edges it touches rather than a copy of the colouring.
 
     A colour's code is its index in COLOUR_ORDER (delta is 3).  code[e] is
-    edge e's code; at[4 * v + k] is the edge of code k at vertex v, or -1
-    (properness leaves at most one); deltas is the set of delta edges.
+    edge e's code; at[3 * v + k] is the edge of code k < 3 at vertex v, or
+    -1 (only delta may clash, so there is at most one); deltas is the set
+    of delta edges.  The chain edges of a pair that includes delta are read
+    off the adjacency, and delta must be a matching at the vertices such a
+    chain reaches: the descent's plateau meets this, as it runs on a proper
+    colouring.
     """
 
     __slots__ = ("graph", "code", "at", "deltas")
@@ -307,13 +293,15 @@ class ColourTable:
         g = c.graph
         self.graph = g
         self.code = [_CODE[col] for col in c.colours]
-        self.at = [-1] * (4 * g.vertex_count)
+        self.at = [-1] * (3 * g.vertex_count)
         self.deltas = {e for e, k in enumerate(self.code) if k == 3}
         for e, (a, b) in enumerate(g.edges):
             k = self.code[e]
-            for slot in (4 * a + k, 4 * b + k):
+            if k == 3:
+                continue
+            for slot in (3 * a + k, 3 * b + k):
                 if self.at[slot] != -1:
-                    raise DomainError(f"colouring is not proper at vertex {slot // 4}")
+                    raise DomainError("colouring has a non-delta clash")
                 self.at[slot] = e
 
     def colouring(self, codes: Iterable[int]) -> EdgeColouring:
@@ -321,31 +309,46 @@ class ColourTable:
         as a snapshot tuple(self.code)."""
         return EdgeColouring(self.graph, [COLOUR_ORDER[k] for k in codes])
 
+    def free(self, v: int) -> list[int]:
+        """The codes below 3 that no edge at v has, ascending."""
+        at, base = self.at, 3 * v
+        return [k for k in range(3) if at[base + k] < 0]
+
     def recolour(self, changes: Mapping[int, int]) -> None:
         """Give each edge in changes its new code.  Every old slot is cleared
         before any new one is set, since along a swapped chain an edge takes
         the slot its neighbour leaves."""
-        ends, code, at = self.graph.edges, self.code, self.at
+        ends, code, at, deltas = self.graph.edges, self.code, self.at, self.deltas
         for e in changes:
-            a, b = ends[e]
             k = code[e]
-            at[4 * a + k] = at[4 * b + k] = -1
             if k == 3:
-                self.deltas.discard(e)
+                deltas.discard(e)
+            else:
+                a, b = ends[e]
+                at[3 * a + k] = at[3 * b + k] = -1
         for e, k in changes.items():
-            a, b = ends[e]
             code[e] = k
-            at[4 * a + k] = at[4 * b + k] = e
             if k == 3:
-                self.deltas.add(e)
+                deltas.add(e)
+            else:
+                a, b = ends[e]
+                at[3 * a + k] = at[3 * b + k] = e
 
     def _chain_edges(self, x: int, y: int) -> Callable[[int], list[int]]:
+        if x == 3 or y == 3:
+            code, adjacency = self.code, self.graph.adjacency
+            return lambda v: [e for _, e in adjacency[v] if code[e] == x or code[e] == y]
         at = self.at
-        return lambda v: [e for e in (at[4 * v + x], at[4 * v + y]) if e >= 0]
+        return lambda v: [e for e in (at[3 * v + x], at[3 * v + y]) if e >= 0]
 
     def path_from(self, v: int, x: int, y: int) -> tuple[int, list[int]]:
-        """kempe_path_from on the table: the far end and edge ids, from v,
-        of the (x, y) path that v ends, which v must."""
+        """Walk the (x, y) Kempe path that ends at v: its far end, and its
+        edge ids in order from v.
+
+        v must see exactly one of x and y (ContractViolationError when it
+        sees neither or both), which makes it an end of a path component of
+        components(x, y); this is that component, walked from v, at a cost
+        of its length."""
         chain_edges = self._chain_edges(x, y)
         first = chain_edges(v)
         if len(first) != 1:
@@ -364,52 +367,43 @@ class ColourTable:
         self.recolour({e: y if code[e] == x else x for e in eids})
 
 
-def _missing_at(c: EdgeColouring, v: int, skip: int) -> list[Colour]:
-    """Non-delta colours absent from v's incident edges other than skip."""
-    present = set(c.colours_at(v, skip=skip))
-    return [col for col in NON_DELTA if col not in present]
-
-
 def properize(c: EdgeColouring) -> EdgeColouring:
     """Repair a delta-improper colouring into a proper one.
 
     Each round removes at least one edge from the delta class and never adds
     one, so the result's delta class is a subset of the input's (strict
-    whenever the input had a clash).  Proper inputs are returned unchanged.
-    Invalid inputs (a clash on a non-delta colour) raise DomainError.
+    whenever the input had a clash).  A proper input is returned as the same
+    object.  Invalid inputs (a clash on a non-delta colour) raise
+    DomainError.
 
-    Every round resolves the clash at the lowest vertex that has one.  Since
-    the delta class only shrinks, no clash appears below a vertex once it
-    is clash-free, so one pointer that never moves back finds those
-    vertices: O(n) for the scan plus, per round, O(1) work at the clash,
-    the length of a Kempe walk and one copy of the colour tuple.
+    The rounds run in place on a ColourTable, and each resolves the clash at
+    the lowest vertex that has one.  Since the delta class only shrinks, no
+    clash appears below a vertex once it is clash-free, so one pointer that
+    never moves back finds those vertices: O(n) for the scan plus, per
+    round, O(1) work at the clash and the length of a Kempe walk.
     """
-    kind = c.classification()
-    if kind is ColouringKind.INVALID:
-        raise DomainError("colouring has a non-delta clash")
-    g = c.graph
+    t = ColourTable(c)
+    adjacency, code = t.graph.adjacency, t.code
+    repaired = False
     u = 0
-    while u < g.vertex_count:
-        deltas = sorted(
-            eid for _, eid in g.adjacency[u] if c.colours[eid] is Colour.DELTA
-        )
+    while u < len(adjacency):
+        deltas = sorted(eid for _, eid in adjacency[u] if code[eid] == 3)
         if len(deltas) < 2:
             u += 1
             continue
-        changes = _resolve_clash(c, u, deltas)
+        changes = _resolve_clash(t, u, deltas)
         # the round must strictly shrink the delta class: some changed edge
         # leaves it and none joins it
-        was = [c.colours[eid] is Colour.DELTA for eid in changes]
-        now = [col is Colour.DELTA for col in changes.values()]
-        assert any(w and not n for w, n in zip(was, now)), "clash resolution failed to shrink delta"
-        assert not any(n and not w for w, n in zip(was, now)), "clash resolution grew delta"
-        c = c.with_colours(changes)
-    return c
+        assert any(code[eid] == 3 for eid in changes), "clash resolution failed to shrink delta"
+        assert 3 not in changes.values(), "clash resolution grew delta"
+        t.recolour(changes)
+        repaired = True
+    return t.colouring(code) if repaired else c
 
 
-def _resolve_clash(c: EdgeColouring, u: int, deltas: list[int]) -> dict[int, Colour]:
-    """The recolouring that removes one delta edge at u, as {edge: colour}."""
-    g = c.graph
+def _resolve_clash(t: ColourTable, u: int, deltas: list[int]) -> dict[int, int]:
+    """The recolouring that removes one delta edge at u, as {edge: code}."""
+    g = t.graph
     e1, e2 = deltas[0], deltas[1]
 
     def other_end(eid: int) -> int:
@@ -419,26 +413,22 @@ def _resolve_clash(c: EdgeColouring, u: int, deltas: list[int]) -> dict[int, Col
     if g.degree(u) == 2 or len(deltas) == 3:
         # no third colour pins the choice; any colour free at the far end of
         # the lowest delta edge works (at most two are taken there)
-        far = other_end(e1)
-        free = _missing_at(c, far, skip=e1)
-        return {e1: free[0]}
+        return {e1: t.free(other_end(e1))[0]}
 
-    third = next(
-        eid for _, eid in g.adjacency[u] if eid not in (e1, e2)
-    )
-    x = c.colours[third]
+    third = next(eid for _, eid in g.adjacency[u] if eid not in (e1, e2))
+    x = t.code[third]
     # direct recolouring: some colour other than x free at the far end
     for eid in (e1, e2):
-        far = other_end(eid)
-        for col in _missing_at(c, far, skip=eid):
-            if col is not x:
-                return {eid: col}
+        for k in t.free(other_end(eid)):
+            if k != x:
+                return {eid: k}
     # both far ends see all of the other two colours: swap the Kempe path of
     # (x, y) that ends at u, freeing x there, then give x to a delta edge
-    # whose far end is not the path's other endpoint
-    y = next(col for col in NON_DELTA if col is not x)
-    far_end, path = kempe_path_from(c, u, x, y)
+    # whose far end is not the path's other endpoint; y is the lowest
+    # proper colour other than x
+    y = 1 if x == 0 else 0
+    far_end, path = t.path_from(u, x, y)
     target = e2 if other_end(e2) != far_end else e1
-    changes = {eid: y if c.colours[eid] is x else x for eid in path}
+    changes = {eid: y if t.code[eid] == x else x for eid in path}
     changes[target] = x
     return changes

@@ -576,13 +576,13 @@ def _reduce_once(t: ColourTable) -> bool:
     at = t.at
     for e in sorted(t.deltas):
         u, v = t.graph.edges[e]
-        u4, v4 = 4 * u, 4 * v
+        u3, v3 = 3 * u, 3 * v
         for k in range(3):
-            if at[u4 + k] < 0 and at[v4 + k] < 0:
+            if at[u3 + k] < 0 and at[v3 + k] < 0:
                 t.recolour({e: k})
                 return True
         for x, y in ((0, 1), (0, 2), (1, 2)):
-            if (at[u4 + x] < 0) == (at[u4 + y] < 0) or (at[v4 + x] < 0) == (at[v4 + y] < 0):
+            if (at[u3 + x] < 0) == (at[u3 + y] < 0) or (at[v3 + x] < 0) == (at[v3 + y] < 0):
                 continue
             far_end, path = t.path_from(u, x, y)
             if far_end == v:
@@ -591,7 +591,7 @@ def _reduce_once(t: ColourTable) -> bool:
             # leave the other free at both ends, taken above), so the swap
             # frees at u the colour v misses
             changes = {eid: y if t.code[eid] == x else x for eid in path}
-            want = x if at[v4 + x] < 0 else y
+            want = x if at[v3 + x] < 0 else y
             assert changes[path[0]] != want
             changes[e] = want
             t.recolour(changes)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Any, Mapping, Optional
 
-from .colouring import Colour, ColouringKind, EdgeColouring, kempe_path_from
+from .colouring import COLOUR_ORDER, Colour, ColouringKind, ColourTable, EdgeColouring
 from .errors import ClassificationError, ContractViolationError, DomainError
 
 
@@ -47,6 +47,8 @@ _EXTERNAL = {
     DeltaClass.B: Colour.ALPHA,
     DeltaClass.C: Colour.BETA,
 }
+# each class's colour pair as ColourTable codes
+_PAIR_CODES = {cls: (COLOUR_ORDER.index(x), COLOUR_ORDER.index(y)) for cls, (x, y) in _PAIR.items()}
 
 
 @dataclass(frozen=True)
@@ -62,33 +64,33 @@ class DeltaClassification:
             raise DomainError(f"edge {e} has no {cls.value} cycle") from None
 
 
-def _joining_cycle(c: EdgeColouring, e: int, cls: DeltaClass) -> Optional[tuple[int, ...]]:
+def _joining_cycle(t: ColourTable, e: int, cls: DeltaClass) -> Optional[tuple[int, ...]]:
     """The delta edge e followed by the path of cls's colour pair that joins
     its ends, walked from the lower end; None when no such path exists.
 
     An end that sees both colours of the pair, or neither, ends no path of
-    it (kempe_path_from would raise), so the walk starts only from an end
-    that sees exactly one."""
-    u, v = c.graph.edges[e]
-    x, y = cls.pair
-    seen = c.colours_at(u)
-    if (x in seen) == (y in seen):
+    it (path_from would raise), so the walk starts only from an end that
+    sees exactly one."""
+    u, v = t.graph.edges[e]
+    x, y = _PAIR_CODES[cls]
+    free = t.free(u)
+    if (x in free) == (y in free):
         return None
-    far, path = kempe_path_from(c, u, x, y)
+    far, path = t.path_from(u, x, y)
     return (e,) + tuple(path) if far == v else None
 
 
 def _memberships_lenient(
-    c: EdgeColouring,
+    t: ColourTable,
 ) -> dict[int, dict[DeltaClass, tuple[int, ...]]]:
-    """Class memberships for every delta edge, by the joining-path criterion
-    alone.  No parity filtering and no exception on an empty result; the
-    verifier clauses judge what is recorded here."""
+    """Class memberships for every delta edge of the table, by the
+    joining-path criterion alone.  No parity filtering and no exception on
+    an empty result; the verifier clauses judge what is recorded here."""
     found: dict[int, dict[DeltaClass, tuple[int, ...]]] = {}
-    for e in sorted(c.colour_class(Colour.DELTA)):
+    for e in sorted(t.deltas):
         per_class = {}
         for cls in DeltaClass:
-            cycle = _joining_cycle(c, e, cls)
+            cycle = _joining_cycle(t, e, cls)
             if cycle is not None:
                 per_class[cls] = cycle
         found[e] = per_class
@@ -108,7 +110,7 @@ def classify_delta_edges(c: EdgeColouring) -> DeltaClassification:
         raise DomainError("classification needs a proper colouring")
     memberships: dict[int, frozenset[DeltaClass]] = {}
     cycles: dict[tuple[int, DeltaClass], tuple[int, ...]] = {}
-    for e, per_class in _memberships_lenient(c).items():
+    for e, per_class in _memberships_lenient(ColourTable(c)).items():
         kept = []
         for cls, cycle in per_class.items():
             if len(cycle) % 2 == 1:  # even path plus the edge itself
@@ -184,7 +186,7 @@ def _check_shift_post(
         if eid not in on_cycle and c.colours[eid] is not result.colours[eid]:
             raise ContractViolationError("shift touched an edge off the cycle")
     # the target edge must inherit the class with the identical cycle
-    joined = _joining_cycle(result, e_target, cls)
+    joined = _joining_cycle(ColourTable(result), e_target, cls)
     if joined is None or set(joined) != on_cycle:
         raise ContractViolationError("target edge lost its class or cycle after shift")
 
@@ -287,8 +289,9 @@ def verify_theorem1(c: EdgeColouring, s_known: Optional[int] = None) -> Verifica
     if c.classification() is not ColouringKind.PROPER:
         raise DomainError("verification needs a proper colouring")
     g = c.graph
-    delta_edges = sorted(c.colour_class(Colour.DELTA))
-    found = _memberships_lenient(c)
+    t = ColourTable(c)
+    delta_edges = sorted(t.deltas)
+    found = _memberships_lenient(t)
     verts_of = {
         (e, cls): _cycle_vertices(c, cycle)
         for e in delta_edges
@@ -296,12 +299,12 @@ def verify_theorem1(c: EdgeColouring, s_known: Optional[int] = None) -> Verifica
     }
     clauses: list[ClauseResult] = []
 
-    # delta_incidence: all three proper colours appear next to each delta edge
+    # delta_incidence: all three proper colours appear next to each delta
+    # edge, so none is free at both its ends
     bad = []
     for e in delta_edges:
         u, v = g.edges[e]
-        seen = set(c.colours_at(u, skip=e)) | set(c.colours_at(v, skip=e))
-        if not {Colour.ALPHA, Colour.BETA, Colour.GAMMA} <= seen:
+        if set(t.free(u)).intersection(t.free(v)):
             bad.append(e)
     clauses.append(_clause("delta_incidence", bad, "edges"))
 

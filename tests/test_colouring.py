@@ -29,7 +29,6 @@ from deltamin.colouring import (
     ColourTable,
     KempeComponent,
     KempeDecomposition,
-    kempe_path_from,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -413,44 +412,44 @@ def test_kempe_decompose_matches_frozen_reference():
 
 def test_kempe_path_from_walks_the_decomposition_component():
     # every vertex that sees exactly one of a pair ends a path component of
-    # that pair; the walk from it is that component, run from that vertex
+    # that pair; the table's walk from it is that component of
+    # kempe_decompose, run from that vertex
     walked = 0
     for seed in range(30):
         g = random_subcubic(10 + seed % 25, 500 + seed)
         c = heuristic_descent(g, seed=seed, max_rounds=seed % 4).witness
-        for x in Colour:
-            for y in Colour:
-                if x is y:
+        t = ColourTable(c)
+        for x, y in itertools.permutations(range(4), 2):
+            dec = kempe_decompose(c, COLOUR_ORDER[x], COLOUR_ORDER[y])
+            for v in range(g.vertex_count):
+                sees = [col for col in c.colours_at(v) if col in (COLOUR_ORDER[x], COLOUR_ORDER[y])]
+                if len(sees) != 1:
+                    with pytest.raises(ContractViolationError):
+                        t.path_from(v, x, y)
                     continue
-                dec = kempe_decompose(c, x, y)
-                for v in range(g.vertex_count):
-                    sees = [col for col in c.colours_at(v) if col is x or col is y]
-                    if len(sees) != 1:
-                        with pytest.raises(ContractViolationError):
-                            kempe_path_from(c, v, x, y)
-                        continue
-                    far, path = kempe_path_from(c, v, x, y)
-                    comp = dec.components[dec.component_at(v)]
-                    assert not comp.is_cycle
-                    if comp.vertices[0] == v:
-                        assert (far, tuple(path)) == (comp.vertices[-1], comp.edges)
-                    else:
-                        assert (far, tuple(path)) == (comp.vertices[0], comp.edges[::-1])
-                    walked += 1
+                far, path = t.path_from(v, x, y)
+                comp = dec.components[dec.component_at(v)]
+                assert not comp.is_cycle
+                if comp.vertices[0] == v:
+                    assert (far, tuple(path)) == (comp.vertices[-1], comp.edges)
+                else:
+                    assert (far, tuple(path)) == (comp.vertices[0], comp.edges[::-1])
+                walked += 1
     assert walked > 1000
 
 
 def test_kempe_path_from_guards():
-    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    c = EdgeColouring(g, [A, A, B])
-    with pytest.raises(DomainError):
-        kempe_path_from(c, 0, A, A)
-    # the walk from 3 reaches the a/a clash at vertex 1
-    with pytest.raises(DomainError):
-        kempe_path_from(c, 3, A, B)
-    # vertex 2 sees both colours, so it ends no path
+    g = Graph(5, [(0, 1), (1, 2), (2, 3)])
+    t = ColourTable(EdgeColouring(g, [A, B, D]))
+    # vertex 1 sees both colours and vertex 4 neither, so neither ends a path
     with pytest.raises(ContractViolationError):
-        kempe_path_from(c, 2, A, B)
+        t.path_from(1, 0, 1)
+    with pytest.raises(ContractViolationError):
+        t.path_from(4, 0, 1)
+    assert t.path_from(2, 0, 1) == (0, [1, 0])
+    # the table holds delta clashes only: an a/a clash is refused when built
+    with pytest.raises(DomainError, match="non-delta clash"):
+        ColourTable(EdgeColouring(g, [A, A, B]))
 
 
 def table_state(t: ColourTable) -> tuple:
@@ -476,10 +475,10 @@ def test_colour_table_components_match_kempe_decompose():
                 assert got == [(k.is_cycle, list(k.vertices), list(k.edges)) for k in want]
                 compared += 1
                 cycles += sum(k.is_cycle for k in want)
-                for is_cycle, verts, _ in got:
+                for is_cycle, verts, eids in got:
                     if not is_cycle:
-                        far, path = t.path_from(verts[0], x, y)
-                        assert (far, path) == kempe_path_from(c, verts[0], COLOUR_ORDER[x], COLOUR_ORDER[y])
+                        assert t.path_from(verts[0], x, y) == (verts[-1], eids)
+                        assert t.path_from(verts[-1], x, y) == (verts[0], eids[::-1])
                         walked += 1
             x, y = rng.sample(range(4), 2)
             components = t.components(x, y)
@@ -489,14 +488,17 @@ def test_colour_table_components_match_kempe_decompose():
 
 
 def test_colour_table_guards():
+    # a delta clash is held (delta has no slots); any other clash is refused
+    t = ColourTable(EdgeColouring(Graph(3, [(0, 1), (1, 2)]), [D, D]))
+    assert table_state(t) == ([3, 3], [-1] * 9, {0, 1})
     with pytest.raises(DomainError):
-        ColourTable(EdgeColouring(Graph(3, [(0, 1), (1, 2)]), [D, D]))
+        ColourTable(EdgeColouring(Graph(3, [(0, 1), (1, 2)]), [A, A]))
     t = ColourTable(EdgeColouring(Graph(3, [(0, 1), (1, 2)]), [A, B]))
     with pytest.raises(ContractViolationError):
         t.path_from(1, 0, 1)
     # an edge moving into the slot its neighbour leaves keeps the slot
     t.recolour({0: 1, 1: 0})
-    assert table_state(t) == ([1, 0], [-1, 0, -1, -1, 1, 0, -1, -1, 1, -1, -1, -1], set())
+    assert table_state(t) == ([1, 0], [-1, 0, -1, 1, 0, -1, 1, -1, -1], set())
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +532,22 @@ def test_properize_rejects_invalid():
     g = Graph(3, [(0, 1), (1, 2)])
     with pytest.raises(DomainError):
         properize(EdgeColouring(g, [A, A]))
+
+
+def test_properize_returns_a_proper_input_itself():
+    # delta edges that form a matching are no clash, so nothing is copied
+    g = make_named("cycle", 6)
+    c = EdgeColouring(g, [A, D, A, B, D, B])
+    assert c.classification() is ColouringKind.PROPER
+    assert properize(c) is c
+
+
+@pytest.mark.parametrize("clash", [A, B, G])
+def test_properize_names_a_non_delta_clash(clash):
+    # the clash sits next to a delta clash, which must not hide it
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    with pytest.raises(DomainError, match="^colouring has a non-delta clash$"):
+        properize(EdgeColouring(g, [D, D, clash, clash]))
 
 
 def test_properize_properties_random():

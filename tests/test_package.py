@@ -1,8 +1,11 @@
-"""The package namespace: every export resolves on first use, and importing
-the package loads none of its modules."""
+"""The package namespace: every export resolves on first use, importing
+the package loads none of its modules, and every name the benchmark tracer
+swaps or wraps resolves."""
 
+import importlib
 import subprocess
 import sys
+from pathlib import Path
 from types import ModuleType
 
 import pytest
@@ -70,3 +73,41 @@ def test_importing_the_package_loads_no_submodule():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "['deltamin.errors', 'deltamin.graphs']"]
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    """bench/tracing.py, imported with bench/ on sys.path and only read."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    yield importlib.import_module("tracing")
+    for name in ("tracing", "corpus"):
+        sys.modules.pop(name, None)
+
+
+def test_every_traced_name_resolves(tracing):
+    # a dropped or renamed hook would otherwise show only in a traced run
+    def traced(span):
+        module, attr = span.split(".")
+        return getattr(getattr(deltamin, module), attr)
+
+    for span in tracing.TRACED:
+        assert callable(traced(span)), span
+    for module, attr, span in tracing.CROSS_LAYER:
+        assert getattr(getattr(deltamin, module), attr) is traced(span), (module, attr)
+
+
+def test_greedy_start_repairs_through_the_solver_global(monkeypatch):
+    # the tracer counts colouring.properize spans by swapping solver.properize
+    solver = deltamin.solver
+    repair, calls = solver.properize, []
+
+    def counted(c):
+        calls.append(c)
+        return repair(c)
+
+    monkeypatch.setattr(solver, "properize", counted)
+    g = deltamin.random_subcubic(60, 1)
+    assert solver.find_two_factor(g) is None
+    solver.heuristic_descent(g)
+    assert len(calls) == 1

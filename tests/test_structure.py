@@ -27,6 +27,7 @@ from deltamin import (
     solve_exact,
     verify_theorem1,
 )
+from deltamin.colouring import ColourTable
 from deltamin.structure import ClauseResult, VerificationReport, _joining_edges, _memberships_lenient
 
 A, B, G, D = Colour.ALPHA, Colour.BETA, Colour.GAMMA, Colour.DELTA
@@ -355,7 +356,7 @@ def reference_verify(c: EdgeColouring) -> VerificationReport:
     package's _memberships_lenient, which reference_memberships checks."""
     g = c.graph
     delta_edges = sorted(c.colour_class(D))
-    found = _memberships_lenient(c)
+    found = _memberships_lenient(ColourTable(c))
 
     def cycle_vertices(cycle):
         verts = set()
@@ -556,7 +557,7 @@ def membership_witnesses() -> list:
 def test_memberships_match_whole_graph_reference():
     joined = unjoined = 0
     for c in membership_witnesses():
-        got = [(e, list(per_class.items())) for e, per_class in _memberships_lenient(c).items()]
+        got = [(e, list(per_class.items())) for e, per_class in _memberships_lenient(ColourTable(c)).items()]
         assert got == reference_memberships(c)
         joined += sum(len(per_class) for _, per_class in got)
         unjoined += sum(not per_class for _, per_class in got)
