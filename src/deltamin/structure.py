@@ -241,29 +241,23 @@ def _cycle_vertices(c: EdgeColouring, cycle: tuple[int, ...]) -> set[int]:
     return verts
 
 
-def _joining_edges(c: EdgeColouring, e1: int, e2: int) -> list[int]:
-    """Edges with one end on e1 and the other on e2, ascending.  Read off
-    the adjacency of e1's two ends: O(1) on a subcubic graph."""
-    g = c.graph
-    ends2 = g.edges[e2]
-    return sorted({
-        eid
-        for a in g.edges[e1]
-        for b, eid in g.adjacency[a]
-        if b in ends2 and eid != e1 and eid != e2
-    })
-
-
 def _boundary_edges(c: EdgeColouring, verts: set[int]) -> list[int]:
     """Edges with exactly one end in verts, ascending."""
     adjacency = c.graph.adjacency
     return sorted(eid for a in verts for b, eid in adjacency[a] if b not in verts)
 
 
-def _induced_edges(c: EdgeColouring, verts: set[int]) -> list[int]:
-    """Edges with both ends in verts, ascending."""
-    adjacency = c.graph.adjacency
-    return sorted({eid for a in verts for b, eid in adjacency[a] if b in verts})
+def _joins(c: EdgeColouring, delta_edges: list[int]) -> dict[tuple[int, int], list[int]]:
+    """Each pair (e1, e2), e1 < e2, of delta edges joined by an edge, mapped
+    to its joining edges, ascending.  Delta is a matching, so every vertex
+    has at most one delta edge, its owner: one pass files every join."""
+    owner = {x: e for e in delta_edges for x in c.graph.edges[e]}
+    joins: dict[tuple[int, int], list[int]] = {}
+    for eid, (a, b) in enumerate(c.graph.edges):
+        e1, e2 = owner.get(a), owner.get(b)
+        if e1 is not None and e2 is not None and e1 != e2:
+            joins.setdefault((min(e1, e2), max(e1, e2)), []).append(eid)
+    return joins
 
 
 def _clause(name: str, bad: list, key: str) -> ClauseResult:
@@ -285,6 +279,10 @@ def verify_theorem1(c: EdgeColouring, s_known: Optional[int] = None) -> Verifica
     the colouring's own delta count.  parity_congruence is evaluated on
     cubic graphs only and passes vacuously otherwise; strong_matching_flag
     is informational (always passes, value reported separately).
+
+    The pair, trio and strong-matching clauses read one map of the edges
+    joining delta edges, and cycles are compared only where they meet at a
+    vertex, so the cost is linear in the graph plus the size of the report.
     """
     if c.classification() is not ColouringKind.PROPER:
         raise DomainError("verification needs a proper colouring")
@@ -348,14 +346,16 @@ def verify_theorem1(c: EdgeColouring, s_known: Optional[int] = None) -> Verifica
                     bad.append({"edge": e, "class": cls.value, "vertices": [a, b]})
     clauses.append(_clause("no_consecutive_degree2", bad, "pairs"))
 
-    # cycles_disjoint: cycles of distinct delta edges share no vertex
-    bad = []
-    for e1, e2 in combinations(delta_edges, 2):
-        for cls1 in found[e1]:
-            for cls2 in found[e2]:
-                shared = verts_of[(e1, cls1)] & verts_of[(e2, cls2)]
-                if shared:
-                    bad.append({"edges": [e1, e2], "vertices": sorted(shared)})
+    # cycles_disjoint: cycles of distinct delta edges share no vertex; only
+    # cycles that meet at a vertex are compared, in (e1, e2, class) order
+    keys = list(verts_of)
+    on: dict[int, list[int]] = {}
+    for i, key in enumerate(keys):
+        for x in verts_of[key]:
+            on.setdefault(x, []).append(i)
+    meeting = {(i, j) for idx in on.values() for i, j in combinations(idx, 2) if keys[i][0] != keys[j][0]}
+    bad = [{"edges": [keys[i][0], keys[j][0]], "vertices": sorted(verts_of[keys[i]] & verts_of[keys[j]])}
+           for i, j in sorted(meeting, key=lambda p: (keys[p[0]][0], keys[p[1]][0], p))]
     clauses.append(_clause("cycles_disjoint", bad, "pairs"))
 
     # parity_congruence (cubic only): |A| ≡ |B| ≡ |C| ≡ s (mod 2)
@@ -370,34 +370,31 @@ def verify_theorem1(c: EdgeColouring, s_known: Optional[int] = None) -> Verifica
     )
 
     # pair_interaction: disjoint classes force 2K2, shared class allows one
-    # joining edge; the same sweep decides strong_matching
-    bad = []
-    strong = True
-    for e1, e2 in combinations(delta_edges, 2):
-        # a pair with an unjoined edge is already reported by
-        # classification_total; it matters only until strong is decided
-        classified = found[e1] and found[e2]
-        if not classified and not strong:
-            continue
-        joining = _joining_edges(c, e1, e2)
-        strong = strong and not joining
-        if classified:
-            limit = 1 if set(found[e1]) & set(found[e2]) else 0
-            if len(joining) > limit:
-                bad.append({"edges": [e1, e2], "joining": joining})
+    # joining edge; an unjoined pair passes, and one with an unclassified
+    # edge is already reported by classification_total
+    joins = _joins(c, delta_edges)
+    bad = [{"edges": [e1, e2], "joining": joining} for (e1, e2), joining in sorted(joins.items())
+           if found[e1] and found[e2] and len(joining) > (1 if found[e1].keys() & found[e2].keys() else 0)]
     clauses.append(_clause("pair_interaction", bad, "pairs"))
 
-    # triple_interaction: three same-class edges induce at most four edges
+    # triple_interaction: three same-class edges induce at most four edges.
+    # A trio induces itself and the joins among its pairs, so only a trio
+    # holding a pair joined twice, or two joined pairs, can fail
     bad = []
     for cls in DeltaClass:
-        members = [e for e in delta_edges if cls in found[e]]
-        for trio in combinations(members, 3):
-            verts = set()
-            for e in trio:
-                verts.update(g.edges[e])
-            induced = _induced_edges(c, verts)
-            if len(induced) > 4:
-                bad.append({"edges": list(trio), "class": cls.value, "induced": induced})
+        near: dict[int, list[int]] = {e: [] for e in delta_edges if cls in found[e]}
+        trios = set()
+        for (e1, e2), joining in joins.items():
+            if e1 in near and e2 in near:
+                near[e1].append(e2)
+                near[e2].append(e1)
+                if len(joining) > 1:  # five induced edges with any third member
+                    trios.update(tuple(sorted((e1, e2, e3))) for e3 in near if e3 != e1 and e3 != e2)
+        for e, partners in near.items():  # two pairs joined through e
+            trios.update(tuple(sorted((e, a, b))) for a, b in combinations(partners, 2))
+        for trio in sorted(trios):
+            induced = sorted([*trio, *(x for pair in combinations(trio, 2) for x in joins.get(pair, ()))])
+            bad.append({"edges": list(trio), "class": cls.value, "induced": induced})
     clauses.append(_clause("triple_interaction", bad, "triples"))
 
     # strong_matching_flag: informational only
@@ -407,7 +404,7 @@ def verify_theorem1(c: EdgeColouring, s_known: Optional[int] = None) -> Verifica
         clauses=tuple(clauses),
         delta_count=len(delta_edges),
         counts=counts,
-        strong_matching=strong,
+        strong_matching=not joins,
     )
 
 

@@ -28,7 +28,7 @@ from deltamin import (
     verify_theorem1,
 )
 from deltamin.colouring import ColourTable
-from deltamin.structure import ClauseResult, VerificationReport, _joining_edges, _memberships_lenient
+from deltamin.structure import ClauseResult, VerificationReport, _joins, _memberships_lenient
 
 A, B, G, D = Colour.ALPHA, Colour.BETA, Colour.GAMMA, Colour.DELTA
 GOLDEN = Path(__file__).parent / "golden"
@@ -501,30 +501,105 @@ def random_proper_colourings(count: int) -> list:
     return out
 
 
+def random_matching(g: Graph, rng: random.Random) -> list:
+    """A seeded random matching of g, ascending: edges taken in shuffled
+    order, each kept with probability 3/4 when its ends are still free."""
+    used = set()
+    matching = []
+    for e in rng.sample(range(g.edge_count), g.edge_count):
+        u, v = g.edges[e]
+        if u not in used and v not in used and rng.random() < 0.75:
+            used.update((u, v))
+            matching.append(e)
+    return sorted(matching)
+
+
 def test_joining_edges_matches_whole_graph_scan():
     pairs = joined = 0
     for seed in range(50):
         g = random_subcubic(6 + seed % 30, 1200 + seed)
-        c = EdgeColouring(g, [A] * g.edge_count)  # the scan reads the graph only
-        for e1 in range(g.edge_count):
-            for e2 in range(g.edge_count):
-                if e1 != e2:
-                    got = _joining_edges(c, e1, e2)
-                    assert got == reference_joining_edges(c, e1, e2)
-                    pairs += 1
-                    joined += bool(got)
-    assert 1000 < joined < pairs
+        c = EdgeColouring(g, [A] * g.edge_count)  # both scans read the graph only
+        delta_edges = random_matching(g, random.Random(seed))
+        joins = _joins(c, delta_edges)
+        assert set(joins) <= set(combinations(delta_edges, 2))
+        for e1, e2 in combinations(delta_edges, 2):
+            assert joins.get((e1, e2), []) == reference_joining_edges(c, e1, e2)
+            pairs += 1
+            joined += (e1, e2) in joins
+    assert 300 < joined < pairs
 
 
 def test_verify_matches_frozen_reference_on_seeded_witnesses():
     failing = set()
+    strong = set()
     for c in heuristic_witnesses() + random_proper_colourings(4000):
         report = verify_theorem1(c)
         assert report.to_json() == reference_verify(c).to_json()
         failing.update(cl.clause_id for cl in report.clauses if not cl.passed)
+        strong.add(report.strong_matching)
     # the clauses whose scans changed all report witnesses somewhere
     assert {"external_edge_colour", "cycles_disjoint", "pair_interaction",
             "triple_interaction"} <= failing
+    assert strong == {True, False}
+
+
+def class_a_ring(k: int, offset: int) -> tuple[list, list]:
+    """Edges and colours of k >= 2 delta edges (u, v) = (3i, 3i + 2), shifted
+    by offset, each closed into a class-A triangle by the alpha/beta path
+    through 3i + 1, and v of each joined to u of the next by a gamma edge:
+    one pair joined twice when k = 2, a ring of singly joined pairs beyond,
+    so the pair or trio clauses fail."""
+    edges, colours = [], []
+    for i in range(k):
+        u, a, v = (offset + 3 * i + j for j in range(3))
+        edges += [(u, v), (u, a), (a, v), (v, offset + 3 * ((i + 1) % k))]
+        colours += [D, A, B, G]
+    return edges, colours
+
+
+def many_class_a_witnesses() -> list:
+    """heuristic_descent witnesses of 2 to 8 disjoint Petersen copies and of
+    rings of 3 to 12 Petersen-minus-edge blocks (vertex 1 of each block
+    joined to vertex 0 of the next), which put most of their delta edges in
+    class A.  Each also comes with one to six edges of delta-free
+    neighbourhood recoloured delta, and beside a class_a_ring, whose joined
+    pairs make trios with the witness's many class-A edges."""
+    pet = make_named("petersen").edges
+    ring_block = [e for e in pet if e != (0, 1)]
+    graphs = [Graph(10 * k, [(u + 10 * i, v + 10 * i) for i in range(k) for u, v in pet])
+              for k in range(2, 9)]
+    graphs += [Graph(10 * k, [(u + 10 * i, v + 10 * i) for i in range(k) for u, v in ring_block]
+                     + [(10 * i + 1, 10 * ((i + 1) % k)) for i in range(k)])
+               for k in range(3, 13)]
+    out = []
+    for seed, g in enumerate(graphs):
+        witness = heuristic_descent(g, seed=seed).witness
+        out.append(witness)
+        rng = random.Random(seed)
+        for count in range(1, 7):
+            colours = list(witness.colours)
+            for _ in range(count):
+                e = rng.randrange(g.edge_count)
+                if all(colours[f] is not D for x in g.edges[e] for _, f in g.adjacency[x]):
+                    colours[e] = D
+            out.append(EdgeColouring(g, colours))
+        k = 2 + seed % 4
+        edges, colours = class_a_ring(k, g.vertex_count)
+        out.append(EdgeColouring(Graph(g.vertex_count + 3 * k, list(g.edges) + edges),
+                                 list(witness.colours) + colours))
+    return out
+
+
+def test_verify_matches_frozen_reference_with_many_delta_edges_in_one_class():
+    failing = set()
+    largest = 0
+    for c in many_class_a_witnesses():
+        report = verify_theorem1(c)
+        assert report.to_json() == reference_verify(c).to_json()
+        failing.update(cl.clause_id for cl in report.clauses if not cl.passed)
+        largest = max(largest, report.counts["A"])
+    assert largest >= 12
+    assert {"cycles_disjoint", "pair_interaction", "triple_interaction"} <= failing
 
 
 def test_verify_matches_frozen_reference_on_golden_corpus():
