@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import ContractViolationError, DomainError
 from .graphs import Graph
@@ -156,8 +155,7 @@ class EdgeColouring:
         return f"EdgeColouring({''.join(c.value for c in self.colours)})"
 
 
-@dataclass(frozen=True)
-class KempeComponent:
+class KempeComponent(NamedTuple):
     """One connected component of the subgraph on two colour classes.
 
     vertices lists the component's vertices in traversal order; for a path
@@ -176,8 +174,7 @@ class KempeComponent:
         return self.vertices[0], self.vertices[-1]
 
 
-@dataclass(frozen=True)
-class KempeDecomposition:
+class KempeDecomposition(NamedTuple):
     source: EdgeColouring
     pair: tuple[Colour, Colour]
     components: tuple[KempeComponent, ...]

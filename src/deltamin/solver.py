@@ -21,19 +21,26 @@ first colouring found stays the same.  On a cubic graph the size k=1 is
 skipped once k=0 has failed: by the parity lemma (Steffen, Measurements of
 edge-uncolorability of cubic graphs, J. Graph Theory 2004) a 3-edge-colouring
 of G - e leaves both ends of e missing the same colour, so G would be
-3-edge-colourable itself.
+3-edge-colourable itself.  From size two on, the loop also uses class-2
+blocks: vertex-disjoint sides H of 1- and 2-edge cuts with s(H) > 0, each
+solved by the same loop.  A colouring of G whose delta edges are M restricts
+to a colouring of H whose delta edges are the edges of M inside H, so a
+matching whose complement colours has at least s(H) edges inside each
+block, and at least the sum of the blocks' s(H) in all.  The loop starts at
+that sum when it exceeds two and skips every matching short in some block:
+both skip only matchings that fail, so the first success, witness and all,
+stays the same.
 """
 
 from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .colouring import (
-    NON_DELTA,
+    COLOUR_ORDER,
     Colour,
     ColourTable,
     ColouringKind,
@@ -54,15 +61,13 @@ class Method(enum.Enum):
     HEURISTIC_UPPER_BOUND = "HeuristicUpperBound"
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     s_value: int
     witness: EdgeColouring
     method: Method
 
 
-@dataclass(frozen=True)
-class TwoFactor:
+class TwoFactor(NamedTuple):
     """Spanning 2-regular subgraph of a cubic graph, as its cycle list plus
     the complementary perfect matching (edge ids)."""
 
@@ -188,24 +193,163 @@ def is_3_edge_colourable(g: Graph) -> Optional[EdgeColouring]:
 # exact solver
 
 
-def _matchings_of_size(g: Graph, candidates: list[int], k: int) -> Iterator[frozenset[int]]:
-    """All k-edge matchings within the candidate edges, lexicographically."""
+def _cut_sides(g: Graph) -> tuple[list[int], list[tuple[tuple[int, int], ...]]]:
+    """The sides of a connected g's 1- and 2-edge cuts: both sides of each
+    bridge, and the pieces that each class of 2-edge cuts leaves.  Each side
+    is a tuple of ranges of positions in the depth-first order returned
+    with them, so its size is known before its vertices are listed.
+
+    Each non-tree edge of a depth-first tree gets a bit of its own, and
+    each tree edge the xor of the bits of the non-tree edges whose tree
+    cycle uses it.  Two edges form a cut exactly when every cycle holds both
+    or neither, that is when their labels are equal, and a bridge is
+    labelled 0.  The tree edges of one label all lie on the tree cycle of
+    one of its bits, a root path, and they and the label's non-tree edge
+    (if any) cut g into a ring of pieces, one per edge: the subtrees
+    between consecutive tree edges, and the part above the highest one,
+    which holds the part below the lowest one unless a non-tree edge of the
+    label separates the two.  One pass down the tree and one back up:
+    O(n + m) operations on labels of m - n + 1 bits.
+    """
+    n, ends, adjacency = g.vertex_count, g.edges, g.adjacency
+    order = [0]
+    pre = [-1] * n  # position in order
+    pre[0] = 0
+    up = [-1] * n  # edge to the tree parent
+    label = [0] * g.edge_count
+    mark = [0] * n  # xor of the bits of the non-tree edges at each vertex
+    bit = 1
+    stack = [[0, 0]]  # [vertex, next position in its adjacency]
+    while stack:
+        top = stack[-1]
+        v, i = top
+        if i == len(adjacency[v]):
+            stack.pop()
+            continue
+        top[1] = i + 1
+        w, e = adjacency[v][i]
+        if pre[w] < 0:
+            pre[w] = len(order)
+            order.append(w)
+            up[w] = e
+            stack.append([w, 0])
+        elif pre[w] < pre[v] and e != up[v]:  # a non-tree edge, from its lower end
+            label[e] = bit
+            mark[v] ^= bit
+            mark[w] ^= bit
+            bit <<= 1
+    size = [1] * n
+    for v in reversed(order[1:]):  # children before parents
+        e = up[v]
+        label[e] = mark[v]  # now the xor over v's subtree
+        a, b = ends[e]
+        parent = b if a == v else a
+        mark[parent] ^= mark[v]
+        size[parent] += size[v]
+
+    def span(v: int) -> tuple[int, int]:
+        """v's subtree, as a range of positions in order."""
+        return pre[v], pre[v] + size[v]
+
+    by_label: dict[int, list[int]] = {}
+    for e, lab in enumerate(label):
+        by_label.setdefault(lab, []).append(e)
+    sides = []
+    for lab, edges in by_label.items():
+        if lab and len(edges) == 1:
+            continue
+        # the lower end of each tree edge, deepest first
+        lows = sorted((x for e in edges for x in ends[e] if up[x] == e), key=pre.__getitem__, reverse=True)
+        if not lab:  # bridges
+            for v in lows:
+                lo, hi = span(v)
+                sides += [((lo, hi),), ((0, lo), (hi, n))]
+            continue
+        for deep, high in zip(lows, lows[1:]):
+            (a, d), (b, c) = span(high), span(deep)  # a < b < c <= d
+            sides.append(((a, b), (c, d)))
+        (a, d), (b, c) = span(lows[-1]), span(lows[0])
+        if len(lows) < len(edges):  # a non-tree edge separates bottom and top
+            sides += [((b, c),), ((0, a), (d, n))]
+        else:
+            sides.append(((0, a), (b, c), (d, n)))
+    return order, sides
+
+
+def _class_two_blocks(g: Graph) -> list[tuple[list[int], int]]:
+    """Vertex-disjoint sides H of a connected g's 1- and 2-edge cuts with
+    s(H) > 0, as (sorted vertices, s(H)): smallest first, ties by their
+    ranges, and none over half of g, so that the solves of the sides nest
+    at most log2(n) deep."""
+    order, sides = _cut_sides(g)
+    taken = [False] * g.vertex_count
+    blocks = []
+    for size, ranges in sorted((sum(hi - lo for lo, hi in r), r) for r in sides):
+        if 2 * size > g.vertex_count:
+            break
+        verts = sorted(v for lo, hi in ranges for v in order[lo:hi])
+        if any(taken[v] for v in verts):
+            continue
+        s = _solve_exact_connected(induced_subgraph(g, verts)[0]).s_value
+        if s:
+            for v in verts:
+                taken[v] = True
+            blocks.append((verts, s))
+    return blocks
+
+
+def _matchings_of_size(
+    g: Graph, candidates: list[int], k: int, blocks: Sequence[tuple[list[int], int]] = ()
+) -> Iterator[frozenset[int]]:
+    """All k-edge matchings within the candidate edges, lexicographically,
+    less those with fewer than s edges inside some block (vertices, s) of
+    vertex-disjoint blocks.  An edge is inside a block when both its ends
+    are.  A prefix is cut off, with every matching it starts, once the
+    edges left to pick cannot make up what the blocks still lack, or once
+    a block has fewer candidates left than it lacks."""
+    ends = g.edges
+    block_of = [-1] * g.vertex_count
+    for b, (verts, _) in enumerate(blocks):
+        for v in verts:
+            block_of[v] = b
+    inside = [block_of[u] if block_of[u] == block_of[v] else -1 for u, v in (ends[e] for e in candidates)]
+    # each block's candidate positions, last first
+    tail = [[i for i in reversed(range(len(candidates))) if inside[i] == b] for b in range(len(blocks))]
+    lack = [s for _, s in blocks]
     picked: list[int] = []
     touched: set[int] = set()
 
     def grow(start: int) -> Iterator[frozenset[int]]:
-        if len(picked) == k:
+        left = k - len(picked)
+        # not enough candidates left to finish
+        stop = len(candidates) - left + 1
+        owed = 0
+        for b, short in enumerate(lack):
+            if short > 0:
+                if short > len(tail[b]):
+                    return
+                owed += short
+                stop = min(stop, tail[b][short - 1] + 1)
+        if owed > left:
+            return
+        if not left:
             yield frozenset(picked)
             return
-        # not enough candidates left to finish
-        for idx in range(start, len(candidates) - (k - len(picked)) + 1):
+        for idx in range(start, stop):
+            b = inside[idx]
+            if owed == left and (b < 0 or lack[b] <= 0):
+                continue  # every pick left must go to a block that lacks one
             e = candidates[idx]
-            u, v = g.edges[e]
+            u, v = ends[e]
             if u in touched or v in touched:
                 continue
             picked.append(e)
             touched.update((u, v))
+            if b >= 0:
+                lack[b] -= 1
             yield from grow(idx + 1)
+            if b >= 0:
+                lack[b] += 1
             picked.pop()
             touched.difference_update((u, v))
 
@@ -224,15 +368,22 @@ def _solve_exact_connected(g: Graph) -> SolveResult:
     # same colour, which e could then take; so a cubic G that fails k=0
     # fails k=1 too
     cubic = g.is_cubic()
-    for k in range(len(candidates) + 1):
-        if k == 1 and cubic:
-            continue
-        for matching in _matchings_of_size(g, candidates, k):
-            partial = _three_edge_colouring(g, matching)
-            if partial is None:
-                continue
-            colours = [Colour.DELTA if c is None else c for c in partial]
-            return SolveResult(k, EdgeColouring(g, colours), Method.EXACT)
+    blocks: list[tuple[list[int], int]] = []
+    k = 0
+    while k <= len(candidates):
+        if k == 2:
+            # a matching that works leaves at least s(H) delta edges in
+            # each block H, so at least their sum in all
+            blocks = _class_two_blocks(g)
+            k = max(k, sum(s for _, s in blocks))
+        if not (k == 1 and cubic):
+            for matching in _matchings_of_size(g, candidates, k, blocks):
+                partial = _three_edge_colouring(g, matching)
+                if partial is None:
+                    continue
+                colours = [Colour.DELTA if c is None else c for c in partial]
+                return SolveResult(k, EdgeColouring(g, colours), Method.EXACT)
+        k += 1
     raise AssertionError("unreachable: deleting a maximal matching leaves a 3-colourable graph")
 
 
@@ -253,6 +404,13 @@ def solve_exact(g: Graph) -> SolveResult:
     already failed.  Cubic components skip
     the size-one matchings after size zero fails, by the parity lemma
     (Steffen, J. Graph Theory 2004): s(G) is never 1 on a cubic graph.
+    From size two on, the sides H of 1- and 2-edge cuts with s(H) > 0 (at
+    most half the component each, kept vertex-disjoint, smallest first)
+    bound the search: a witness restricted to H is a colouring of H with
+    its delta edges inside H, so at least s(H) of them lie there.  The
+    search starts at the sum of these s(H) and skips every matching with
+    fewer than s(H) edges inside some side.  Only failing matchings are
+    skipped, so the first success and its witness stay the same.
     """
     comps = g.components()
     if len(comps) <= 1:
@@ -544,22 +702,25 @@ def _validate_two_factor(g: Graph, f: TwoFactor) -> None:
 # heuristic
 
 
+# the lowest code below 3 missing from a bitmask of codes, or 3 (delta)
+_FIRST_FREE = (0, 1, 0, 2, 0, 1, 0, 3)
+
+
 def _greedy_improper(g: Graph) -> EdgeColouring:
     """First-fit over the proper colours, overflow to delta.
 
     Every clash in the result involves delta only, which is exactly what
-    properize repairs."""
-    used: list[set[Colour]] = [set() for _ in range(g.vertex_count)]
-    out = []
+    properize repairs.  One pass over the edges with a bitmask of the
+    proper colours at each vertex."""
+    used = [0] * g.vertex_count
+    codes = []
     for u, v in g.edges:
-        col = next(
-            (c for c in NON_DELTA if c not in used[u] and c not in used[v]),
-            Colour.DELTA,
-        )
-        out.append(col)
-        used[u].add(col)
-        used[v].add(col)
-    return EdgeColouring(g, out)
+        k = _FIRST_FREE[used[u] | used[v]]
+        codes.append(k)
+        if k < 3:
+            used[u] |= 1 << k
+            used[v] |= 1 << k
+    return EdgeColouring(g, [COLOUR_ORDER[k] for k in codes])
 
 
 def _reduce_once(t: ColourTable) -> bool:

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, NamedTuple, Optional
 
 from .colouring import COLOUR_ORDER, Colour, ColouringKind, ColourTable, EdgeColouring
 from .errors import ClassificationError, ContractViolationError, DomainError
@@ -51,8 +50,7 @@ _EXTERNAL = {
 _PAIR_CODES = {cls: (COLOUR_ORDER.index(x), COLOUR_ORDER.index(y)) for cls, (x, y) in _PAIR.items()}
 
 
-@dataclass(frozen=True)
-class DeltaClassification:
+class DeltaClassification(NamedTuple):
     colouring: EdgeColouring
     memberships: Mapping[int, frozenset[DeltaClass]]
     cycles: Mapping[tuple[int, DeltaClass], tuple[int, ...]]
@@ -195,15 +193,13 @@ def _check_shift_post(
 # verifier
 
 
-@dataclass(frozen=True)
-class ClauseResult:
+class ClauseResult(NamedTuple):
     clause_id: str
     passed: bool
     witness: Any = None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     clauses: tuple[ClauseResult, ...]
     delta_count: int
     counts: dict[str, int]

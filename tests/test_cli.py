@@ -277,6 +277,19 @@ def test_analyze_and_verify_load_the_structure_layer(tmp_path, command):
     assert "deltamin.structure" in _modules_loaded_by(argv)
 
 
+@pytest.mark.parametrize("command", ["solve", "analyze", "verify"])
+def test_solving_commands_load_no_dataclasses(tmp_path, command):
+    # the records are named tuples: dataclasses would bring inspect (with
+    # ast, dis and tokenize) into every start; two graphs and --jobs 2 also
+    # load the process pool
+    grf = write(tmp_path, "in.g6", "C~\n" + PETERSEN_G6 + "\n")
+    col = write(tmp_path, "colours.jsonl", witness_line("C~") + "\n" + witness_line(PETERSEN_G6) + "\n")
+    argv = [command, grf, "--jobs", "2"] + (["--colouring", col] if command == "verify" else [])
+    loaded = _modules_loaded_by(argv)
+    assert "concurrent.futures" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
 # a pool that records the package modules loaded when it is built, which is
 # when the real one forks its workers, and maps in-process
 _RECORDING_POOL = """

@@ -111,3 +111,33 @@ def test_greedy_start_repairs_through_the_solver_global(monkeypatch):
     assert solver.find_two_factor(g) is None
     solver.heuristic_descent(g)
     assert len(calls) == 1
+
+
+def test_records_are_read_only_values():
+    # the result records are named tuples: equal and hashed by value, shown
+    # field by field, and read-only
+    dm = deltamin
+    pet = dm.make_named("petersen")
+    result = dm.solve_exact(pet)
+    assert result == dm.solve_exact(pet) and hash(result) == hash(dm.solve_exact(pet))
+    assert repr(result) == f"SolveResult(s_value=2, witness={result.witness!r}, method={result.method!r})"
+    report = dm.verify_theorem1(result.witness)
+    assert report.clause("cycle_oddness") == dm.ClauseResult("cycle_oddness", True)
+    assert repr(report.clauses[0]) == "ClauseResult(clause_id='delta_incidence', passed=True, witness=None)"
+    decomposition = dm.kempe_decompose(result.witness, dm.Colour.ALPHA, dm.Colour.BETA)
+    records = [
+        (result, "s_value"),
+        (dm.find_two_factor(pet), "matching"),
+        (decomposition, "pair"),
+        (decomposition.components[0], "edges"),
+        (dm.classify_delta_edges(result.witness), "memberships"),
+        (report.clauses[0], "passed"),
+        (report, "counts"),
+    ]
+    assert {type(record).__name__ for record, _ in records} == {
+        "SolveResult", "TwoFactor", "KempeDecomposition", "KempeComponent",
+        "DeltaClassification", "ClauseResult", "VerificationReport",
+    }
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)

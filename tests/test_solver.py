@@ -4,7 +4,9 @@ The exact solver is checked against a test-local brute force over all 4^m
 colourings on small graphs, so the two never share code paths.  Its
 3-edge-colouring search is checked against a frozen copy of the earlier
 recursive backtrack, witness for witness, and find_two_factor against a
-frozen copy of the backtracking perfect-matching search it replaced.
+frozen copy of the backtracking perfect-matching search it replaced.  The
+level loop's cut-block bound is checked against a frozen copy of the loop
+without it, and its cut finder against edge deletions.
 """
 
 import itertools
@@ -33,9 +35,18 @@ from deltamin import (
     random_subcubic,
     resistance_exact,
     solve_exact,
+    verify_theorem1,
 )
 from deltamin.colouring import NON_DELTA, kempe_decompose, kempe_swap, properize
-from deltamin.solver import _greedy_improper, _matchings_of_size, _maximum_matching, _three_edge_colouring
+from deltamin.graphs import induced_subgraph
+from deltamin.solver import (
+    _class_two_blocks,
+    _cut_sides,
+    _greedy_improper,
+    _matchings_of_size,
+    _maximum_matching,
+    _three_edge_colouring,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -143,18 +154,72 @@ def reference_search(g: Graph, excluded: frozenset = frozenset()) -> Optional[li
     return [partial.get(e) for e in range(g.edge_count)]
 
 
+def plain_matchings(g: Graph, candidates: list, k: int):
+    """Frozen copy of the plain matching enumeration: every k-edge matching
+    within the candidate edges, lexicographically."""
+    picked: list = []
+    touched: set = set()
+
+    def grow(start: int):
+        if len(picked) == k:
+            yield frozenset(picked)
+            return
+        for idx in range(start, len(candidates) - (k - len(picked)) + 1):
+            e = candidates[idx]
+            u, v = g.edges[e]
+            if u in touched or v in touched:
+                continue
+            picked.append(e)
+            touched.update((u, v))
+            yield from grow(idx + 1)
+            picked.pop()
+            touched.difference_update((u, v))
+
+    return grow(0)
+
+
+def candidate_edges(g: Graph) -> list:
+    return [e for e, (u, v) in enumerate(g.edges) if g.degree(u) == 3 or g.degree(v) == 3]
+
+
 def reference_solve(g: Graph) -> tuple:
     """Connected-graph exact solve on the reference oracle, with no parity
     skip: (s, colours) of the first matching whose complement colours."""
-    candidates = [
-        e for e, (u, v) in enumerate(g.edges) if g.degree(u) == 3 or g.degree(v) == 3
-    ]
+    candidates = candidate_edges(g)
     for k in range(len(candidates) + 1):
-        for matching in _matchings_of_size(g, candidates, k):
+        for matching in plain_matchings(g, candidates, k):
             partial = reference_three_colour(g, matching)
             if partial is not None:
                 return k, tuple(partial.get(e, D) for e in range(g.edge_count))
     raise AssertionError("unreachable")
+
+
+def frozen_level_loop(g: Graph) -> tuple:
+    """Frozen copy of the exact solver's level loop before the cut-block
+    bound, for a connected graph: every candidate matching of each size in
+    lexicographic order, size one skipped on cubic graphs, and the package's
+    3-edge-colouring search.  (s, colours) of the first hit."""
+    candidates = candidate_edges(g)
+    for k in range(len(candidates) + 1):
+        if k == 1 and g.is_cubic():
+            continue
+        for matching in plain_matchings(g, candidates, k):
+            partial = _three_edge_colouring(g, matching)
+            if partial is not None:
+                return k, tuple(D if c is None else c for c in partial)
+    raise AssertionError("unreachable")
+
+
+def frozen_solve(g: Graph) -> tuple:
+    """solve_exact's split into components, over the frozen level loop."""
+    total, colours = 0, [None] * g.edge_count
+    for comp in g.components():
+        sub, _, edge_map = induced_subgraph(g, comp)
+        k, sub_colours = frozen_level_loop(sub)
+        total += k
+        for sub_eid, col in enumerate(sub_colours):
+            colours[edge_map[sub_eid]] = col
+    return total, tuple(colours)
 
 
 def random_corpus() -> list:
@@ -262,6 +327,216 @@ def test_solve_exact_witness_matches_reference_on_snarks(g):
     r = solve_exact(g)
     assert r.s_value == 2
     assert (r.s_value, r.witness.colours) == reference_solve(g)
+
+
+# ---------------------------------------------------------------------------
+# the cut-block bound of the exact level loop
+
+# petersen_ring(3)'s witness as the level loop found it before the bound:
+# delta on edges 1, 16 and 31, one per block
+RING3_COLOURS = "adagbaaggabgbbgbdbaabbgabggagagdgbaggbbgabaab"
+# D}K: K4 with edge 01 subdivided by vertex 4, the smallest class-2 piece
+SUBDIVIDED_K4 = [(0, 4), (1, 4), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+def solved(g: Graph) -> tuple:
+    r = solve_exact(g)
+    return r.s_value, r.witness.colours
+
+
+def with_deletions(g: Graph) -> list:
+    """g and every graph left by deleting one edge of it."""
+    return [g] + [Graph(g.vertex_count, [uv for f, uv in enumerate(g.edges) if f != e]) for e in range(g.edge_count)]
+
+
+def bridged_subdivided_k4s() -> Graph:
+    """Two copies of D}K joined by a bridge between their degree-2
+    vertices: cubic, s=2."""
+    return Graph(10, SUBDIVIDED_K4 + [(u + 5, v + 5) for u, v in SUBDIVIDED_K4] + [(4, 9)])
+
+
+def sparse_subcubic(n: int, extra: int, seed: int) -> Graph:
+    """A connected subcubic graph with many 1- and 2-edge cuts: a random
+    spanning tree of maximum degree three plus a few random edges."""
+    rng = random.Random(seed)
+    deg = [0] * n
+    edges: set = set()
+    for v in range(1, n):
+        u = rng.choice([w for w in range(v) if deg[w] < 3])
+        edges.add((u, v))
+        deg[u] += 1
+        deg[v] += 1
+    for _ in range(extra):
+        u, v = sorted(rng.sample(range(n), 2))
+        if (u, v) not in edges and deg[u] < 3 and deg[v] < 3:
+            edges.add((u, v))
+            deg[u] += 1
+            deg[v] += 1
+    return Graph(n, sorted(edges))
+
+
+def class_two_composite(seed: int) -> Graph:
+    """Class-2 pieces (D}K, Petersen minus an edge) and lone vertices, each
+    piece but the first joined by one edge to an earlier one where both
+    ends have degree below three, then up to two more such edges, then
+    relabelled.  The cuts between the pieces give the level loop blocks."""
+    rng = random.Random(seed)
+    pm = [e for e in make_named("petersen").edges if e != (0, 1)]
+    kinds = [(5, SUBDIVIDED_K4), (5, SUBDIVIDED_K4), (10, pm)]
+    pieces = [rng.choice(kinds) for _ in range(rng.randrange(2, 4))] + [(1, [])] * rng.randrange(3)
+    edges, members, n = [], [], 0
+    for size, part in pieces:
+        edges += [(u + n, v + n) for u, v in part]
+        members.append(range(n, n + size))
+        n += size
+    deg = [0] * n
+    for uv in edges:
+        for x in uv:
+            deg[x] += 1
+
+    def join(a: int, b: int) -> None:
+        pairs = [(u, v) for u in members[a] for v in members[b]
+                 if deg[u] < 3 and deg[v] < 3 and (u, v) not in edges and (v, u) not in edges]
+        if pairs:
+            u, v = rng.choice(pairs)
+            edges.append((u, v))
+            deg[u] += 1
+            deg[v] += 1
+
+    for i in range(1, len(pieces)):
+        join(i, rng.randrange(i))
+    for _ in range(rng.randrange(3)):
+        join(*rng.sample(range(len(pieces)), 2))
+    return relabelled(Graph(n, edges), rng)
+
+
+def components_without(g: Graph, gone) -> list:
+    return Graph(g.vertex_count, [uv for e, uv in enumerate(g.edges) if e not in gone]).components()
+
+
+def brute_force_cut_sides(g: Graph) -> list:
+    """The sides of g's 1- and 2-edge cuts by deleting each edge and each
+    pair of edges: both components of G - e for each bridge e, and the
+    components of G - C for each class C of non-bridge edges, two edges
+    being in one class when deleting both disconnects g."""
+    bridges = [e for e in range(g.edge_count) if len(components_without(g, {e})) > 1]
+    rest = [e for e in range(g.edge_count) if e not in bridges]
+    cls = {e: {e} for e in rest}
+    for e, f in itertools.combinations(rest, 2):
+        if len(components_without(g, {e, f})) > 1 and cls[e] is not cls[f]:
+            cls[e] |= cls[f]
+            for x in cls[f]:
+                cls[x] = cls[e]
+    classes = {frozenset(c) for c in cls.values() if len(c) > 1}
+    sides = [comp for e in bridges for comp in components_without(g, {e})]
+    sides += [comp for c in classes for comp in components_without(g, c)]
+    return sorted(tuple(side) for side in sides)
+
+
+def found_cut_sides(g: Graph) -> list:
+    order, sides = _cut_sides(g)
+    return sorted(tuple(sorted(v for lo, hi in ranges for v in order[lo:hi])) for ranges in sides)
+
+
+def cut_corpus(cubic_corpus) -> list:
+    graphs = [g for line in (GOLDEN / "cubic_10.g6").read_text().split() for g in with_deletions(parse_graph6(line))]
+    graphs += [g for n in (4, 6, 8) for g in cubic_corpus[n]]
+    graphs += [sparse_subcubic(4 + i % 13, i % 7, 500 + i) for i in range(150)]
+    graphs += [random_subcubic(4 + i % 11, 600 + i) for i in range(50)]
+    graphs += [class_two_composite(seed) for seed in range(40)]
+    graphs += [petersen_ring(2), petersen_ring(3), bridged_subdivided_k4s(), make_named("cycle", 7)]
+    return [g for g in graphs if g.is_connected()]
+
+
+def test_cut_sides_match_edge_deletions(cubic_corpus):
+    for g in cut_corpus(cubic_corpus):
+        assert found_cut_sides(g) == brute_force_cut_sides(g), g.edges
+
+
+def test_class_two_blocks_are_disjoint_small_sides_with_their_s(cubic_corpus):
+    for g in cut_corpus(cubic_corpus):
+        blocks = _class_two_blocks(g)
+        sides = set(brute_force_cut_sides(g))
+        taken: set = set()
+        for verts, s in blocks:
+            assert tuple(verts) in sides and 2 * len(verts) <= g.vertex_count
+            assert not taken & set(verts)
+            taken |= set(verts)
+            assert s == resistance_exact(induced_subgraph(g, verts)[0]) > 0
+        assert sum(s for _, s in blocks) <= solve_exact(g).s_value
+
+
+def test_ring_blocks_are_its_petersen_copies():
+    blocks = _class_two_blocks(petersen_ring(3))
+    assert sorted(blocks) == [(list(range(10 * b, 10 * b + 10)), 1) for b in range(3)]
+
+
+def test_pruned_matchings_are_the_plain_ones_that_meet_every_block():
+    rng = random.Random(17)
+    for g in [petersen_ring(2), make_named("petersen"), bridged_subdivided_k4s()] + [
+        random_subcubic(10 + i % 5, 700 + i) for i in range(6)
+    ]:
+        candidates = candidate_edges(g)
+        for _ in range(4):
+            verts = list(range(g.vertex_count))
+            rng.shuffle(verts)
+            cuts = sorted(rng.sample(range(1, g.vertex_count), rng.randrange(1, 4)))
+            blocks = [(sorted(verts[a:b]), rng.randrange(3)) for a, b in zip([0] + cuts, cuts)]
+            for k in range(5):
+                want = [m for m in plain_matchings(g, candidates, k)
+                        if all(sum(set(g.edges[e]) <= set(vs) for e in m) >= need for vs, need in blocks)]
+                assert list(_matchings_of_size(g, candidates, k, blocks)) == want
+
+
+@pytest.mark.parametrize("name", ["cubic_10.g6", "cubic_12.g6"])
+def test_block_bound_keeps_witnesses_on_cubic_graphs_and_deletions(name):
+    for line in (GOLDEN / name).read_text().split():
+        for g in with_deletions(parse_graph6(line)):
+            assert solved(g) == frozen_solve(g)
+
+
+def test_block_bound_keeps_witnesses_on_random_subcubic():
+    for i in range(500):
+        g = random_subcubic(4 + i % 11, 8000 + i)
+        assert solved(g) == frozen_solve(g)
+
+
+def test_block_bound_keeps_witnesses_on_class_two_composites():
+    for seed in range(100):
+        g = class_two_composite(seed)
+        if g.vertex_count <= 20:
+            assert solved(g) == frozen_solve(g)
+
+
+@pytest.mark.parametrize("g", [petersen_ring(2), bridged_subdivided_k4s()], ids=["ring2", "bridged-DK"])
+def test_block_bound_keeps_witnesses_on_cut_graphs(g):
+    rng = random.Random(5)
+    for h in [g, relabelled(g, rng), relabelled(g, rng)]:
+        assert solved(h) == frozen_solve(h)
+
+
+def test_petersen_rings_solve_with_their_block_count():
+    r = solve_exact(petersen_ring(3))
+    assert "".join(c.value for c in r.witness.colours) == RING3_COLOURS
+    r = solve_exact(petersen_ring(4))
+    assert r.s_value == 4
+    report = verify_theorem1(r.witness)
+    assert report.all_pass, [cl.clause_id for cl in report.clauses if not cl.passed]
+
+
+@pytest.mark.slow
+def test_block_bound_keeps_witnesses_on_larger_class_two_composites():
+    for seed in range(200):
+        g = class_two_composite(seed)
+        if g.vertex_count > 20:
+            assert solved(g) == frozen_solve(g)
+
+
+@pytest.mark.slow
+def test_block_bound_keeps_witnesses_on_ring3():
+    rng = random.Random(3)
+    for g in [petersen_ring(3), relabelled(petersen_ring(3), rng)]:
+        assert solved(g) == frozen_solve(g)
 
 
 @pytest.mark.parametrize("n", [3000, 3001])
@@ -655,6 +930,26 @@ def test_heuristic_upper_bounds_exact():
         exact = solve_exact(g).s_value
         heur = heuristic_descent(g, seed=seed)
         assert heur.s_value >= exact
+
+
+def reference_greedy_improper(g: Graph) -> tuple:
+    """Frozen copy of the first-fit start as it was before it ran on colour
+    codes: a set of colours per vertex, tested per edge."""
+    used: list = [set() for _ in range(g.vertex_count)]
+    out = []
+    for u, v in g.edges:
+        col = next((c for c in NON_DELTA if c not in used[u] and c not in used[v]), D)
+        out.append(col)
+        used[u].add(col)
+        used[v].add(col)
+    return tuple(out)
+
+
+def test_greedy_improper_matches_frozen_reference():
+    for n in (5, 12, 60, 400):
+        for seed in range(5):
+            g = random_subcubic(n, 900 + seed)
+            assert _greedy_improper(g).colours == reference_greedy_improper(g)
 
 
 def reference_reduce_once(c):
