@@ -7,8 +7,8 @@ adjacencies allowed at delta only) are the halfway state the properize
 reduction repairs.
 
 EdgeColouring is the record: immutable, checked, and what the solvers
-return.  ColourTable is where colours move: the repair, the descent and the
-verifier's joining paths make their Kempe moves and walks on it in place.
+return.  ColourTable is where colours move: the repair, the descent, the
+delta shift and the verifier's joining-path walks all run on it in place.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ from deltamin import (
     classify_delta_edges,
     heuristic_descent,
     kempe_decompose,
+    kempe_swap,
     make_named,
     parity_signature,
     parse_graph6,
@@ -28,7 +29,13 @@ from deltamin import (
     verify_theorem1,
 )
 from deltamin.colouring import ColourTable
-from deltamin.structure import ClauseResult, VerificationReport, _joins, _memberships_lenient
+from deltamin.structure import (
+    ClauseResult,
+    VerificationReport,
+    _joining_cycle,
+    _joins,
+    _memberships_lenient,
+)
 
 A, B, G, D = Colour.ALPHA, Colour.BETA, Colour.GAMMA, Colour.DELTA
 GOLDEN = Path(__file__).parent / "golden"
@@ -75,7 +82,7 @@ def test_classify_petersen_witness(petersen_result):
         assert classes  # nonempty
         u, v = w.graph.edges[e]
         for cls in classes:
-            cycle = cl.cycle_of(e, cls)
+            cycle = cl.cycles[(e, cls)]
             assert len(cycle) % 2 == 1
             assert cycle[0] == e
             # the cycle passes through both ends of e
@@ -186,6 +193,21 @@ def test_shift_guards(petersen_result):
     other = shift_delta(w, cl, e, cls, cycle[1])
     with pytest.raises(ContractViolationError):
         shift_delta(other, cl, e, cls, cycle[1])
+
+
+def test_shift_rejects_a_step_onto_a_second_delta_edge():
+    # s = 1, but the colouring has two delta edges, 0 and 6, each closed
+    # into an odd cycle: B's (0, 5, 3) and A's (6, 5, 7).  Moving delta from
+    # 0 onto 5 puts it beside 6 at vertex 0.
+    g = Graph(6, [(1, 2), (2, 5), (4, 5), (0, 2), (3, 5), (0, 1), (0, 4), (1, 4)])
+    c = EdgeColouring(g, [Colour.from_code(x) for x in "daggbbda"])
+    cl = classify_delta_edges(c)
+    assert cl.cycles == {(0, DeltaClass.B): (0, 5, 3), (6, DeltaClass.A): (6, 5, 7)}
+    with pytest.raises(ContractViolationError) as exc:
+        shift_delta(c, cl, 0, DeltaClass.B, 5)
+    assert str(exc.value) == (
+        "shift step onto edge 5 broke properness; the input colouring was not delta-minimum"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -613,14 +635,18 @@ def test_verify_matches_frozen_reference_on_golden_corpus():
         assert json.loads(report.to_json()) == rec["verification"]
 
 
+def cubic_10_12_witnesses() -> list:
+    """The exact witnesses of cubic_10.g6 and cubic_12.g6."""
+    return [solve_exact(parse_graph6(g6)).witness
+            for name in ("cubic_10.g6", "cubic_12.g6") for g6 in (GOLDEN / name).read_text().split()]
+
+
 def membership_witnesses() -> list:
     """The exact witnesses of cubic_10.g6 and cubic_12.g6, heuristic_descent
     witnesses of analyze_heuristic.g6, and heuristic_descent stopped after 0
     to 15 rounds on 240 seeded random subcubic graphs with 4 to 63 vertices;
     the last two hold many delta edges that no path joins."""
-    out = []
-    for name in ("cubic_10.g6", "cubic_12.g6"):
-        out += [solve_exact(parse_graph6(g6)).witness for g6 in (GOLDEN / name).read_text().split()]
+    out = cubic_10_12_witnesses()
     out += [heuristic_descent(parse_graph6(g6)).witness
             for g6 in (GOLDEN / "analyze_heuristic.g6").read_text().split()]
     for seed in range(240):
@@ -637,3 +663,95 @@ def test_memberships_match_whole_graph_reference():
         joined += sum(len(per_class) for _, per_class in got)
         unjoined += sum(not per_class for _, per_class in got)
     assert joined > 80 and unjoined > 80
+
+
+# ---------------------------------------------------------------------------
+# the shift against a frozen copy of the EdgeColouring version
+
+
+def reference_shift(c: EdgeColouring, cl, e: int, cls: DeltaClass, e_target: int) -> EdgeColouring:
+    """Frozen copy of the earlier shift_delta with its post-checks: a new
+    EdgeColouring and a whole-colouring properness check per step, then the
+    delta class, every off-cycle edge and the target's cycle re-checked on
+    the result; the test oracle for the shift, not a second path in the
+    package."""
+    if cl.colouring != c:
+        raise ContractViolationError("classification describes a different colouring")
+    if e not in cl.memberships or cls not in cl.memberships[e]:
+        raise DomainError(f"edge {e} is not classified {cls.value}")
+    cycle = cl.cycles[(e, cls)]
+    if e_target not in cycle:
+        raise DomainError(f"edge {e_target} is not on the {cls.value} cycle of edge {e}")
+    if e_target == e:
+        return c
+    result = c
+    for pos in range(1, cycle.index(e_target) + 1):
+        prev_e, cur_e = cycle[pos - 1], cycle[pos]
+        result = result.with_colours({prev_e: result.colours[cur_e], cur_e: result.colours[prev_e]})
+        if result.classification() is not ColouringKind.PROPER:
+            raise ContractViolationError(
+                f"shift step onto edge {cur_e} broke properness; "
+                "the input colouring was not delta-minimum"
+            )
+    if result.colour_class(D) != (c.colour_class(D) - {e}) | {e_target}:
+        raise ContractViolationError("shift changed delta edges other than e/e_target")
+    on_cycle = set(cycle)
+    for eid in range(c.graph.edge_count):
+        if eid not in on_cycle and c.colours[eid] is not result.colours[eid]:
+            raise ContractViolationError("shift touched an edge off the cycle")
+    joined = _joining_cycle(ColourTable(result), e_target, cls)
+    if joined is None or set(joined) != on_cycle:
+        raise ContractViolationError("target edge lost its class or cycle after shift")
+    return result
+
+
+def kempe_perturbed(base: EdgeColouring, rng: random.Random, rounds: int) -> list:
+    """The colourings met by swapping a seeded random Kempe chain of a
+    seeded random colour pair, delta included, rounds times from base."""
+    out = []
+    c = base
+    for _ in range(rounds):
+        d = kempe_decompose(c, *rng.sample(list(Colour), 2))
+        if d.components:
+            c = kempe_swap(c, d, rng.randrange(len(d.components)))
+            out.append(c)
+    return out
+
+
+def shift_positions(colourings: list) -> list:
+    """Every (colouring, classification, edge, class, target) shift of the
+    colourings that classify, over every position of every cycle."""
+    out = []
+    for c in colourings:
+        try:
+            cl = classify_delta_edges(c)
+        except ClassificationError:
+            continue
+        for (e, cls), cycle in cl.cycles.items():
+            out += [(c, cl, e, cls, target) for target in cycle]
+    return out
+
+
+def shift_outcome(shift, *args):
+    """The shifted colouring, or the type and message of what was raised."""
+    try:
+        return shift(*args)
+    except (ContractViolationError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+def test_shift_matches_frozen_reference_on_seeded_witnesses():
+    exact = cubic_10_12_witnesses()
+    bases = exact + [heuristic_descent(random_subcubic(6 + seed % 20, 3000 + seed), seed=seed,
+                                       max_rounds=seed % 4).witness for seed in range(200)]
+    perturbed = [c for i, base in enumerate(bases) for c in kempe_perturbed(base, random.Random(i), 12)]
+    for args in shift_positions(exact):
+        # delta-minimum inputs: every shift succeeds
+        assert shift_outcome(shift_delta, *args) == reference_shift(*args)
+    positions = raising = 0
+    for args in shift_positions(perturbed):
+        got = shift_outcome(shift_delta, *args)
+        assert got == shift_outcome(reference_shift, *args)
+        positions += 1
+        raising += isinstance(got, tuple)
+    assert positions >= 1000 and raising >= 20
