@@ -9,13 +9,17 @@ reduction repairs.
 EdgeColouring is the record: immutable, checked, and what the solvers
 return.  ColourTable is where colours move: the repair, the descent, the
 delta shift and the verifier's joining-path walks all run on it in place.
+
+Every Kempe chain is walked by one walker over colour codes, _walk_chain:
+a step looks at the at most three edges of the vertex it reaches, and
+calls and builds nothing.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import ContractViolationError, DomainError
 from .graphs import Graph
@@ -187,53 +191,56 @@ class KempeDecomposition(NamedTuple):
         return None
 
 
-def _chain_edges(c: EdgeColouring, v: int, x: Colour, y: Colour) -> list[int]:
-    """The edges at v coloured x or y, at most one of each; DomainError when
-    the restriction to {x, y} is improper at v."""
-    colours = c.colours
-    pair = [eid for _, eid in c.graph.adjacency[v] if colours[eid] is x or colours[eid] is y]
-    if len(pair) > 2 or (len(pair) == 2 and colours[pair[0]] is colours[pair[1]]):
-        raise DomainError(
-            f"restriction to {x.value},{y.value} is improper at vertex {v}"
-        )
-    return pair
+def _walk_chain(g: Graph, code: list[int], x: int, y: int, start: int, eid: int) -> tuple[list[int], list[int]]:
+    """Follow the (x, y) chain of colour codes from start along edge eid: its
+    vertices and edge ids in order, up to a path end, or on a cycle up to
+    the edge that returns to start.
 
-
-def _walk_chain(g: Graph, chain_edges: Callable[[int], list[int]], start: int, eid: int) -> tuple[list[int], list[int]]:
-    """Follow a two-colour chain from start along edge eid: its vertices and
-    edge ids in order, up to a path end, or on a cycle up to the edge that
-    returns to start.  chain_edges(v) lists the chain's edges at v."""
-    verts, eids, at = [start], [], start
-    while True:
-        eids.append(eid)
-        a, b = g.edges[eid]
-        at = b if a == at else a
-        if at == start:
-            return verts, eids
+    At each vertex the walk goes on along the first incident edge, in
+    adjacency order, whose code is x or y and that is not the edge it came
+    by."""
+    adjacency = g.adjacency
+    a, b = g.edges[eid]
+    at = b if a == start else a
+    verts, eids = [start], [eid]
+    while at != start:
         verts.append(at)
-        onward = [e for e in chain_edges(at) if e != eid]
-        if not onward:
+        for w, e in adjacency[at]:
+            if e != eid and (code[e] == x or code[e] == y):
+                break
+        else:
             return verts, eids
-        eid = onward[0]
+        eids.append(e)
+        eid, at = e, w
+    return verts, eids
 
 
-def _chain_components(g: Graph, chain_edges: Callable[[int], list[int]]) -> list[tuple[bool, list[int], list[int]]]:
-    """Every two-colour chain as (is_cycle, vertices, edge ids): paths first
-    (by lower endpoint), then cycles (by smallest vertex, walked along its
-    lower edge id).  chain_edges(v) lists the chain's edges at v; it is
-    called once per vertex, in ascending order."""
-    at = [chain_edges(v) for v in range(g.vertex_count)]
-    seen: set[int] = set()
+def _chain_components(g: Graph, code: list[int], x: int, y: int) -> list[tuple[bool, list[int], list[int]]]:
+    """Every (x, y) chain of colour codes as (is_cycle, vertices, edge ids):
+    paths first (by lower endpoint), then cycles (by smallest vertex, walked
+    along its lower edge id).  One pass over the edges counts each vertex's
+    chain edges and notes its lowest one; then each chain is walked once."""
+    ends = g.edges
+    count = [0] * g.vertex_count
+    lowest = [-1] * g.vertex_count
+    # downwards, so that the last edge noted at a vertex is its lowest
+    for e in reversed([e for e, k in enumerate(code) if k == x or k == y]):
+        a, b = ends[e]
+        lowest[a] = lowest[b] = e
+        count[a] += 1
+        count[b] += 1
+    seen = [False] * g.vertex_count
     components = []
     # every path is walked before the first cycle, so an unseen vertex with
     # two chain edges lies on a cycle, and the first one met is its smallest
     for is_cycle in (False, True):
-        for v, here in enumerate(at):
-            if len(here) == 1 + is_cycle and v not in seen:
-                verts, eids = _walk_chain(g, at.__getitem__, v, min(here))
+        for v, here in enumerate(count):
+            if here == 1 + is_cycle and not seen[v]:
+                verts, eids = _walk_chain(g, code, x, y, v, lowest[v])
                 # alternation of two colours forces even length
                 assert not is_cycle or len(eids) % 2 == 0
-                seen.update(verts)
+                for w in verts:
+                    seen[w] = True
                 components.append((is_cycle, verts, eids))
     return components
 
@@ -249,9 +256,16 @@ def kempe_decompose(c: EdgeColouring, x: Colour, y: Colour) -> KempeDecompositio
     """
     if x is y:
         raise DomainError("need two distinct colours")
+    g, code, kx, ky = c.graph, [_CODE[col] for col in c.colours], _CODE[x], _CODE[y]
+    for v, nbrs in enumerate(g.adjacency):
+        here = [code[e] for _, e in nbrs]
+        if here.count(kx) > 1 or here.count(ky) > 1:
+            raise DomainError(
+                f"restriction to {x.value},{y.value} is improper at vertex {v}"
+            )
     components = tuple(
         KempeComponent(is_cycle, tuple(verts), tuple(eids))
-        for is_cycle, verts, eids in _chain_components(c.graph, lambda v: _chain_edges(c, v, x, y))
+        for is_cycle, verts, eids in _chain_components(g, code, kx, ky)
     )
     return KempeDecomposition(c, (x, y) if x < y else (y, x), components)
 
@@ -278,10 +292,11 @@ class ColourTable:
     A colour's code is its index in COLOUR_ORDER (delta is 3).  code[e] is
     edge e's code; at[3 * v + k] is the edge of code k < 3 at vertex v, or
     -1 (only delta may clash, so there is at most one); deltas is the set
-    of delta edges.  The chain edges of a pair that includes delta are read
-    off the adjacency, and delta must be a matching at the vertices such a
-    chain reaches: the descent's plateau meets this, as it runs on a proper
-    colouring.
+    of delta edges.  Chains are walked over code, a step costing a look at
+    each incident edge of the vertex reached.  For a pair that includes
+    delta, delta must be a matching at the vertices such a chain reaches,
+    or a walk may circle for ever: the descent's plateau meets this, as it
+    runs on a proper colouring.
     """
 
     __slots__ = ("graph", "code", "at", "deltas")
@@ -331,13 +346,6 @@ class ColourTable:
                 a, b = ends[e]
                 at[3 * a + k] = at[3 * b + k] = e
 
-    def _chain_edges(self, x: int, y: int) -> Callable[[int], list[int]]:
-        if x == 3 or y == 3:
-            code, adjacency = self.code, self.graph.adjacency
-            return lambda v: [e for _, e in adjacency[v] if code[e] == x or code[e] == y]
-        at = self.at
-        return lambda v: [e for e in (at[3 * v + x], at[3 * v + y]) if e >= 0]
-
     def path_from(self, v: int, x: int, y: int) -> tuple[int, list[int]]:
         """Walk the (x, y) Kempe path that ends at v: its far end, and its
         edge ids in order from v.
@@ -346,17 +354,18 @@ class ColourTable:
         sees neither or both), which makes it an end of a path component of
         components(x, y); this is that component, walked from v, at a cost
         of its length."""
-        chain_edges = self._chain_edges(x, y)
-        first = chain_edges(v)
+        code = self.code
+        first = [e for _, e in self.graph.adjacency[v] if code[e] == x or code[e] == y]
         if len(first) != 1:
             raise ContractViolationError(f"expected vertex {v} to end a ({x},{y}) path")
-        verts, path = _walk_chain(self.graph, chain_edges, v, first[0])
+        verts, path = _walk_chain(self.graph, code, x, y, v, first[0])
         return verts[-1], path
 
     def components(self, x: int, y: int) -> list[tuple[bool, list[int], list[int]]]:
         """The (x, y) Kempe chains in kempe_decompose's order, as (is_cycle,
-        vertices, edge ids)."""
-        return _chain_components(self.graph, self._chain_edges(x, y))
+        vertices, edge ids): one pass over the edges, then each chain's
+        length."""
+        return _chain_components(self.graph, self.code, x, y)
 
     def swap(self, eids: Iterable[int], x: int, y: int) -> None:
         """Exchange codes x and y along a chain."""
@@ -380,14 +389,15 @@ def properize(c: EdgeColouring) -> EdgeColouring:
     round, O(1) work at the clash and the length of a Kempe walk.
     """
     t = ColourTable(c)
-    adjacency, code = t.graph.adjacency, t.code
+    adjacency, code, at = t.graph.adjacency, t.code, t.at
     repaired = False
     u = 0
     while u < len(adjacency):
-        deltas = sorted(eid for _, eid in adjacency[u] if code[eid] == 3)
-        if len(deltas) < 2:
+        # the edges at u that hold none of its slots are its delta edges
+        if len(adjacency[u]) - (at[3 * u] >= 0) - (at[3 * u + 1] >= 0) - (at[3 * u + 2] >= 0) < 2:
             u += 1
             continue
+        deltas = sorted(eid for _, eid in adjacency[u] if code[eid] == 3)
         changes = _resolve_clash(t, u, deltas)
         # the round must strictly shrink the delta class: some changed edge
         # leaves it and none joins it

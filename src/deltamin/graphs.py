@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 import re
 from itertools import combinations
-from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, GraphFormatError
@@ -18,6 +17,8 @@ from .errors import DomainError, GraphFormatError
 MAX_DEGREE = 3
 
 _G6_HEADER = ">>graph6<<"
+_G6_RANGE = bytes(range(63, 127))
+# the first byte outside _G6_RANGE, looked for only once translate finds one
 _G6_OUT_OF_RANGE = re.compile(rb"[^\x3f-\x7e]")
 _G6_NONZERO_GROUP = re.compile(rb"[^?]")
 # 6-bit group -> offsets of its set bits, 0 being the high bit
@@ -52,11 +53,10 @@ class Graph:
                 raise DomainError(f"self-loop at vertex {u}")
             if u > v:
                 u, v = v, u
-            if (u, v) in edge_ids:
+            key, eid = (u, v), len(normalised)
+            if edge_ids.setdefault(key, eid) != eid:
                 raise DomainError(f"duplicate edge ({u}, {v})")
-            eid = len(normalised)
-            edge_ids[(u, v)] = eid
-            normalised.append((u, v))
+            normalised.append(key)
             adjacency[u].append((v, eid))
             adjacency[v].append((u, eid))
         for vertex, nbrs in enumerate(adjacency):
@@ -207,9 +207,8 @@ def parse_graph6(text: str) -> Graph:
     the encoded graph has a vertex of degree above three.
     """
     data = _g6_payload(text)
-    bad = _G6_OUT_OF_RANGE.search(data)
-    if bad:
-        pos = bad.start()
+    if data.translate(None, _G6_RANGE):
+        pos = _G6_OUT_OF_RANGE.search(data).start()
         raise GraphFormatError(f"byte {data[pos]} outside graph6 range", pos)
     n, start = _g6_read_size(data)
     nbits = n * (n - 1) // 2
@@ -223,8 +222,10 @@ def parse_graph6(text: str) -> Graph:
     if len(data) > expected:
         raise GraphFormatError("trailing bytes after graph6 data", expected)
     # only groups with a set bit are visited; bit k is pair (i, j) with
-    # k = j(j-1)/2 + i, visited in increasing k
+    # k = j(j-1)/2 + i, visited in increasing k, so column j and its first
+    # bit col = j(j-1)/2 only ever move forward
     edges = []
+    j = col = 0
     for hit in _G6_NONZERO_GROUP.finditer(data, start, expected):
         pos = hit.start()
         base = (pos - start) * 6
@@ -232,8 +233,10 @@ def parse_graph6(text: str) -> Graph:
             k = base + off
             if k >= nbits:
                 raise GraphFormatError("nonzero padding bit", pos)
-            j = (1 + isqrt(8 * k + 1)) // 2
-            edges.append((k - j * (j - 1) // 2, j))
+            while k >= col + j:
+                col += j
+                j += 1
+            edges.append((k - col, j))
     return Graph(n, edges)
 
 

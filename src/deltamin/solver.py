@@ -369,7 +369,10 @@ def _solve_exact_connected(g: Graph) -> SolveResult:
     # fails k=1 too
     cubic = g.is_cubic()
     blocks: list[tuple[list[int], int]] = []
-    k = 0
+    # alpha, beta and gamma are matchings of at most n/2 edges each, so at
+    # least m - 3 floor(n/2) edges need delta: on a subcubic graph one edge
+    # exactly when n is odd and m = (3n - 1)/2, else none
+    k = max(0, g.edge_count - 3 * (g.vertex_count // 2))
     while k <= len(candidates):
         if k == 2:
             # a matching that works leaves at least s(H) delta edges in
@@ -401,7 +404,9 @@ def solve_exact(g: Graph) -> SolveResult:
     alpha/beta/gamma symmetry: a branch point tries only the lowest of its
     free colours that the partial colouring does not use yet, since each
     other unused one would only repeat, colours swapped, a subtree that has
-    already failed.  Cubic components skip
+    already failed.  Each component starts at size m - 3 floor(n/2) when
+    that is positive (the overfull bound: alpha, beta and gamma are
+    matchings of at most floor(n/2) edges each).  Cubic components skip
     the size-one matchings after size zero fails, by the parity lemma
     (Steffen, J. Graph Theory 2004): s(G) is never 1 on a cubic graph.
     From size two on, the sides H of 1- and 2-edge cuts with s(H) > 0 (at
@@ -776,7 +781,7 @@ def heuristic_descent(g: Graph, seed: int = 0, max_rounds: int = 64) -> SolveRes
     The rounds run on a ColourTable: an improving round costs a sort of the
     delta edges and the edges it looks at and moves (plus a copy of the
     codes when it sets a new best), a plateau round one pass over the
-    vertices to list the pair's chains.
+    edges and one walk of each of the pair's chains to list them.
     """
     if max_rounds < 0:
         raise DomainError("max_rounds must be non-negative")

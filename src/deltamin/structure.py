@@ -144,7 +144,9 @@ def shift_delta(
     a second delta edge.  So the one clash a step can make is a second delta
     edge at an end of the edge taking delta, which a delta-minimum colouring
     never has.  Each step looks at both ends of that edge before it
-    recolours, and raises ContractViolationError on such a clash.
+    recolours, and raises ContractViolationError on such a clash.  A
+    colouring whose delta class is not a matching to begin with raises
+    DomainError, checked once in O(s) after the table is built.
     """
     if cl.colouring != c:
         raise ContractViolationError("classification describes a different colouring")
@@ -157,6 +159,11 @@ def shift_delta(
         return c
     t = ColourTable(c)
     ends, adjacency, code = c.graph.edges, c.graph.adjacency, t.code
+    # the steps look only around the edge taking delta, so the rest of the
+    # delta class must be a matching already
+    touched = [v for f in t.deltas for v in ends[f]]
+    if len(set(touched)) < len(touched):
+        raise DomainError("shift needs a proper colouring: two delta edges meet")
     prev = e
     for cur in cycle[1 : cycle.index(e_target) + 1]:
         if any(code[f] == 3 and f not in (prev, cur) for x in ends[cur] for _, f in adjacency[x]):

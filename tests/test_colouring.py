@@ -412,15 +412,15 @@ def test_kempe_decompose_matches_frozen_reference():
 
 def test_kempe_path_from_walks_the_decomposition_component():
     # every vertex that sees exactly one of a pair ends a path component of
-    # that pair; the table's walk from it is that component of
-    # kempe_decompose, run from that vertex
+    # that pair; the table's walk from it is that component of the frozen
+    # decomposition, run from that vertex
     walked = 0
     for seed in range(30):
         g = random_subcubic(10 + seed % 25, 500 + seed)
         c = heuristic_descent(g, seed=seed, max_rounds=seed % 4).witness
         t = ColourTable(c)
         for x, y in itertools.permutations(range(4), 2):
-            dec = kempe_decompose(c, COLOUR_ORDER[x], COLOUR_ORDER[y])
+            dec = reference_decompose(c, COLOUR_ORDER[x], COLOUR_ORDER[y])
             for v in range(g.vertex_count):
                 sees = [col for col in c.colours_at(v) if col in (COLOUR_ORDER[x], COLOUR_ORDER[y])]
                 if len(sees) != 1:
@@ -459,7 +459,8 @@ def table_state(t: ColourTable) -> tuple:
 def test_colour_table_components_match_kempe_decompose():
     # every ordered pair of distinct colours, on the exact witnesses of
     # cubic_10.g6 and on properized random delta-improper colourings, then
-    # again after each of a run of random swaps made on the table
+    # again after each of a run of random swaps made on the table; the
+    # frozen decomposition is the oracle, as kempe_decompose shares the walk
     rng = random.Random("colour-table")
     inputs = [solve_exact(parse_graph6(g6)).witness for g6 in (GOLDEN / "cubic_10.g6").read_text().split()]
     inputs += [properize(c) for c in checks.random_improper_colourings(rng, 120, range(2, 40))]
@@ -470,7 +471,7 @@ def test_colour_table_components_match_kempe_decompose():
             c = t.colouring(t.code)
             assert table_state(t) == table_state(ColourTable(c))
             for x, y in itertools.permutations(range(4), 2):
-                want = kempe_decompose(c, COLOUR_ORDER[x], COLOUR_ORDER[y]).components
+                want = reference_decompose(c, COLOUR_ORDER[x], COLOUR_ORDER[y]).components
                 got = t.components(x, y)
                 assert got == [(k.is_cycle, list(k.vertices), list(k.edges)) for k in want]
                 compared += 1
@@ -485,6 +486,131 @@ def test_colour_table_components_match_kempe_decompose():
             if components:
                 t.swap(rng.choice(components)[2], x, y)
     assert compared > 1500 and cycles > 300 and walked > 3000, (compared, cycles, walked)
+
+
+class WalkLoops(Exception):
+    """A walk came back to an (edge, direction) it had taken, or read more
+    codes than a walk that ends can."""
+
+
+class BudgetCodes(list):
+    """A table's codes that raise WalkLoops once more than budget of them
+    are read by index, so that a walk that never ends fails a test rather
+    than hanging it with lists that grow for ever."""
+
+    budget = 0
+
+    def __getitem__(self, i):
+        self.budget -= 1
+        if self.budget < 0:
+            raise WalkLoops
+        return list.__getitem__(self, i)
+
+
+def reference_table_chains(t: ColourTable, x: int, y: int, met: dict) -> tuple:
+    """Frozen copy of the table's earlier chain listing and path walk, whose
+    walk called a chain_edges(v) closure at every step and went on along
+    the first of its edges other than the one it came by: (components, or
+    None where the listing fails, and {v: path_from(v)}).
+
+    On a pair with delta the table may hold a vertex with three chain edges,
+    where that first-in-adjacency-order rule decides the way on (counted in
+    met["forks"]).  There a walk can circle for ever without coming back to
+    its start (it raises WalkLoops once it has taken more steps than there
+    are edge directions), or close a cycle of odd length, which the listing
+    refuses; both are outside the table's contract and left out, and
+    path_from(v) is left out where its walk loops."""
+    g = t.graph
+    if x == 3 or y == 3:
+        code, adjacency = list(t.code), g.adjacency
+
+        def chain_edges(v):
+            return [e for _, e in adjacency[v] if code[e] == x or code[e] == y]
+    else:
+        at = t.at
+
+        def chain_edges(v):
+            return [e for e in (at[3 * v + x], at[3 * v + y]) if e >= 0]
+
+    def walk(start, eid):
+        verts, eids, at = [start], [], start
+        while len(eids) <= 2 * g.edge_count:
+            eids.append(eid)
+            a, b = g.edges[eid]
+            at = b if a == at else a
+            if at == start:
+                return verts, eids
+            verts.append(at)
+            onward = [e for e in chain_edges(at) if e != eid]
+            met["forks"] += len(onward) > 1
+            if not onward:
+                return verts, eids
+            eid = onward[0]
+        raise WalkLoops
+
+    listed = [chain_edges(v) for v in range(g.vertex_count)]
+    seen: set = set()
+    components: list | None = []
+    for is_cycle in (False, True):
+        for v, here in enumerate(listed):
+            if len(here) == 1 + is_cycle and v not in seen and components is not None:
+                try:
+                    verts, eids = walk(v, min(here))
+                except WalkLoops:
+                    components = None
+                    break
+                if is_cycle and len(eids) % 2:
+                    components = None
+                    break
+                seen.update(verts)
+                components.append((is_cycle, verts, eids))
+    paths = {}
+    for v, here in enumerate(listed):
+        if len(here) != 1:
+            paths[v] = ContractViolationError
+            continue
+        try:
+            verts, eids = walk(v, here[0])
+        except WalkLoops:
+            continue
+        paths[v] = (verts[-1], eids)
+    return components, paths
+
+
+def test_colour_table_chains_on_delta_improper_tables_match_frozen_walk():
+    # random delta-improper colourings held as tables, every ordered pair:
+    # pairs with delta meet delta clashes, where a walk's way on is decided
+    # by adjacency order
+    met = {"forks": 0}
+    listed = walked = unlisted = 0
+    for trial in range(150):
+        g = random_subcubic(4 + trial % 30, 6000 + trial)
+        t = ColourTable(random_delta_improper(g, 13 * trial + 1))
+        t.code = codes = BudgetCodes(t.code)
+        # a walk that ends takes at most one step per edge direction and
+        # reads at most three codes a step; a listing walks at most n times
+        budget = 3 * (2 * g.edge_count + 2) * (g.vertex_count + 1)
+        for x, y in itertools.permutations(range(4), 2):
+            forks = met["forks"]
+            components, paths = reference_table_chains(t, x, y, met)
+            if components is None:
+                unlisted += 1
+            else:
+                codes.budget = budget
+                assert t.components(x, y) == components
+                listed += 1
+            for v, want in paths.items():
+                codes.budget = budget
+                if want is ContractViolationError:
+                    with pytest.raises(ContractViolationError):
+                        t.path_from(v, x, y)
+                else:
+                    assert t.path_from(v, x, y) == want
+                    walked += 1
+            if 3 not in (x, y):
+                assert met["forks"] == forks and components is not None
+    assert listed > 1000 and walked > 8000 and met["forks"] > 10000, (listed, walked, met)
+    assert unlisted > 0
 
 
 def test_colour_table_guards():

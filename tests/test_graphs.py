@@ -8,8 +8,11 @@ its order contract (least breadth-first labellings) for n <= 10.
 
 import itertools
 import random
+import re
 import sys
 from collections import Counter
+from math import isqrt
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -30,7 +33,9 @@ from deltamin import (
     parse_graph6,
     random_subcubic,
 )
-from deltamin.graphs import NAMED_GRAPHS
+from deltamin.graphs import NAMED_GRAPHS, _g6_payload, _g6_read_size
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -74,8 +79,8 @@ def test_graph_rejects_bad_input():
         Graph(3, [(0, 3)])  # out of range
     with pytest.raises(DomainError):
         Graph(3, [(1, 1)])  # self loop
-    with pytest.raises(DomainError):
-        Graph(3, [(0, 1), (1, 0)])  # duplicate
+    with pytest.raises(DomainError, match=r"^duplicate edge \(0, 1\)$"):
+        Graph(3, [(0, 1), (2, 1), (1, 0)])  # duplicate, named as normalised
     with pytest.raises(DomainError):
         Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])  # degree four
     with pytest.raises(DomainError):
@@ -170,6 +175,80 @@ def test_graph6_error_offsets():
     with pytest.raises(GraphFormatError) as err:
         parse_graph6("D?A")
     assert "padding" in str(err.value) and "offset 2" in str(err.value)
+
+
+def reference_parse_graph6(text: str) -> Graph:
+    """Frozen copy of the earlier parse_graph6: a regex pass for the byte
+    range, then a regex pass over the nonzero groups, with each set bit's
+    column found by isqrt; the test oracle for the one-regex decoder."""
+    data = _g6_payload(text)
+    bad = re.compile(rb"[^\x3f-\x7e]").search(data)
+    if bad:
+        pos = bad.start()
+        raise GraphFormatError(f"byte {data[pos]} outside graph6 range", pos)
+    n, start = _g6_read_size(data)
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    expected = start + nbytes
+    if len(data) < expected:
+        raise GraphFormatError(
+            f"truncated graph6 data: expected {expected} bytes, got {len(data)}",
+            len(data),
+        )
+    if len(data) > expected:
+        raise GraphFormatError("trailing bytes after graph6 data", expected)
+    edges = []
+    for hit in re.compile(rb"[^?]").finditer(data, start, expected):
+        pos = hit.start()
+        base = (pos - start) * 6
+        for off in range(6):
+            if not (data[pos] - 63) >> (5 - off) & 1:
+                continue
+            k = base + off
+            if k >= nbits:
+                raise GraphFormatError("nonzero padding bit", pos)
+            j = (1 + isqrt(8 * k + 1)) // 2
+            edges.append((k - j * (j - 1) // 2, j))
+    return Graph(n, edges)
+
+
+def parse_outcome(parse, text: str):
+    """The parsed graph's size and edges in order, or what was raised with
+    its message and offset."""
+    try:
+        g = parse(text)
+    except (GraphFormatError, DomainError) as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+    return g.vertex_count, g.edges
+
+
+def test_graph6_parse_matches_frozen_reference():
+    rng = random.Random("graph6")
+    texts = [line for name in sorted(GOLDEN.glob("*.g6")) for line in name.read_text().split()]
+    texts += [emit_graph6(random_subcubic(rng.randrange(1, 63), seed)) for seed in range(300)]
+    texts += [emit_graph6(random_subcubic(rng.randrange(63, 700), seed)) for seed in range(40)]
+    texts += [emit_graph6(random_subcubic(n, 7)) for n in (1000, 2000)] + [emit_graph6(make_named("flower", 101))]
+    # every way to fail: each is also made from every text above, at a
+    # seeded position
+    malformed = ["", ">>graph6<<", "~", "~?", "~??", "~~", "~~??", "C", "C~~", "D?A", "Cé~", "C\x7f~",
+                 "C>~", " C~ ", ">>graph6<<C~", "~?@??", nx.to_graph6_bytes(nx.star_graph(4), header=False).decode()]
+    for text in texts:
+        pos = rng.randrange(len(text))
+        malformed += [
+            text[:pos] + chr(rng.choice((0x7f, 0x3e, 0x20 + rng.randrange(0x1f)))) + text[pos + 1:],
+            text[:pos] + "é" + text[pos + 1:],
+            text[:-1],
+            text + "?",
+            text[:-1] + chr(min(ord(text[-1]) + 1, 126)),
+            text[:pos] + "~" + text[pos + 1:],
+        ]
+    failures = []
+    for text in texts + malformed:
+        want = parse_outcome(reference_parse_graph6, text)
+        assert parse_outcome(parse_graph6, text) == want, text[:40]
+        if isinstance(want[0], type):
+            failures.append(re.sub(r"[ :(].*", "", want[1]))
+    assert len(failures) > 1000 and len(set(failures)) >= 7, Counter(failures)
 
 
 @pytest.mark.parametrize("seed", [1, 2])

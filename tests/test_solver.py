@@ -5,8 +5,8 @@ colourings on small graphs, so the two never share code paths.  Its
 3-edge-colouring search is checked against a frozen copy of the earlier
 recursive backtrack, witness for witness, and find_two_factor against a
 frozen copy of the backtracking perfect-matching search it replaced.  The
-level loop's cut-block bound is checked against a frozen copy of the loop
-without it, and its cut finder against edge deletions.
+level loop's cut-block and overfull bounds are checked against a frozen
+copy of the loop without them, and its cut finder against edge deletions.
 """
 
 import itertools
@@ -38,6 +38,7 @@ from deltamin import (
     verify_theorem1,
 )
 from deltamin.colouring import NON_DELTA, kempe_decompose, kempe_swap, properize
+from deltamin import solver
 from deltamin.graphs import induced_subgraph
 from deltamin.solver import (
     _class_two_blocks,
@@ -196,7 +197,7 @@ def reference_solve(g: Graph) -> tuple:
 
 def frozen_level_loop(g: Graph) -> tuple:
     """Frozen copy of the exact solver's level loop before the cut-block
-    bound, for a connected graph: every candidate matching of each size in
+    and overfull bounds, for a connected graph: every candidate matching of each size in
     lexicographic order, size one skipped on cubic graphs, and the package's
     3-edge-colouring search.  (s, colours) of the first hit."""
     candidates = candidate_edges(g)
@@ -513,6 +514,42 @@ def test_block_bound_keeps_witnesses_on_cut_graphs(g):
     rng = random.Random(5)
     for h in [g, relabelled(g, rng), relabelled(g, rng)]:
         assert solved(h) == frozen_solve(h)
+
+
+def overfull_graphs() -> list:
+    """Connected graphs with n odd and m = (3n - 1)/2, where the overfull
+    bound m - 3 floor(n/2) is 1: every cubic graph of cubic_10.g6 with one
+    edge subdivided, and the seeded random subcubic graphs of that shape."""
+    out = []
+    for line in (GOLDEN / "cubic_10.g6").read_text().split():
+        g = parse_graph6(line)
+        for e, (u, v) in enumerate(g.edges):
+            rest = [uv for f, uv in enumerate(g.edges) if f != e]
+            out.append(Graph(g.vertex_count + 1, rest + [(u, g.vertex_count), (v, g.vertex_count)]))
+    for i in range(200):
+        g = random_subcubic(5 + 2 * (i % 6), 9100 + i)
+        if g.is_connected() and g.edge_count == (3 * g.vertex_count - 1) // 2:
+            out.append(g)
+    return out
+
+
+def test_overfull_start_keeps_witnesses_and_skips_size_zero(monkeypatch):
+    graphs = overfull_graphs()
+    assert len(graphs) > 300
+    for g in graphs:
+        assert solved(g) == frozen_solve(g)
+    levels = []
+    plain = solver._matchings_of_size
+    monkeypatch.setattr(solver, "_matchings_of_size", lambda h, *rest: levels.append((h, rest[1])) or plain(h, *rest))
+    for g in graphs:
+        levels.clear()
+        solve_exact(g)
+        assert [k for h, k in levels if h is g][0] == 1
+    # a graph that is not overfull still starts at size zero
+    levels.clear()
+    g = make_named("petersen")
+    solve_exact(g)
+    assert [k for h, k in levels if h is g][0] == 0
 
 
 def test_petersen_rings_solve_with_their_block_count():

@@ -31,6 +31,7 @@ from deltamin import (
 from deltamin.colouring import ColourTable
 from deltamin.structure import (
     ClauseResult,
+    DeltaClassification,
     VerificationReport,
     _joining_cycle,
     _joins,
@@ -208,6 +209,19 @@ def test_shift_rejects_a_step_onto_a_second_delta_edge():
     assert str(exc.value) == (
         "shift step onto edge 5 broke properness; the input colouring was not delta-minimum"
     )
+
+
+def test_shift_rejects_a_delta_class_that_is_not_a_matching(petersen_result):
+    # the Petersen witness (delta = {0, 2}) with edge 1 recoloured delta:
+    # edges 0, 1 and 2 make the delta path 0-1-2-3, a clash that no step's
+    # look at the ends of the edge taking delta would see
+    w = petersen_result.witness
+    assert sorted(w.colour_class(D)) == [0, 2]
+    cl = classify_delta_edges(w)
+    bad = w.with_colours({1: D})
+    assert bad.classification() is ColouringKind.DELTA_IMPROPER
+    with pytest.raises(DomainError, match="^shift needs a proper colouring: two delta edges meet$"):
+        shift_delta(bad, DeltaClassification(bad, cl.memberships, cl.cycles), 0, DeltaClass.B, 4)
 
 
 # ---------------------------------------------------------------------------
