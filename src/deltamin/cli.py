@@ -5,8 +5,10 @@ graph6 lines (or a single edge-list file), reports stream out as JSON lines;
 solve also offers CSV and DOT.  Input "-" reads standard input.  The env
 var DELTAMIN_LOG sets log verbosity (DEBUG, INFO, ...).
 
-Each command imports the modules it runs at its own top, so that generate,
-for one, starts without the solver.
+solve, analyze and verify share one entry, cmd_batch.  Before its pool
+forks it imports the solver unless it verifies, and the structure layer
+unless it solves; generate starts without either, and only suite loads the
+property checks.
 
 All records are emitted in input order with sorted keys, so output is
 byte-stable for a fixed (input, config, seed).
@@ -96,27 +98,16 @@ def _read_text(path: str) -> str:
         raise _Unreadable(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
+def _lines(path: str) -> list[str]:
+    """The non-blank lines of a file, or of standard input for "-"."""
+    text = _read_text(path)
+    return [ln for ln in text.splitlines() if ln.strip()]
+
+
 # One graph's input: its index, its raw text, and for verify its colouring
 # line (None when the colouring file has no line for it, and for the other
 # commands).
 Item = tuple[int, str, Optional[str]]
-
-
-def _load_graphs(cfg: RunConfig) -> list[Item]:
-    """Raw per-graph items, without colourings.  graph6 inputs hold one graph
-    per non-blank line; an edge-list file holds a single graph."""
-    text = _read_text(cfg.input_path or "-")
-    if cfg.format == "graph6":
-        return [(i, line, None) for i, line in enumerate(
-            ln for ln in text.splitlines() if ln.strip()
-        )]
-    return [(0, text, None)]
-
-
-def _parse_payload(payload: str, fmt: str) -> Graph:
-    if fmt == "graph6":
-        return parse_graph6(payload)
-    return parse_edge_list(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +141,7 @@ def _dot_block(index: int, g: Graph, result: SolveResult) -> str:
 
 
 def _render(cfg: RunConfig, index: int, g: Graph) -> Output:
-    # cmd_solve or cmd_analyze has loaded these modules
+    # cmd_batch has loaded these modules
     from .solver import Method, heuristic_descent, solve_exact
 
     if g.vertex_count <= cfg.exact_limit:
@@ -211,7 +202,7 @@ def _error_output(cfg: RunConfig, index: int, message: str, offset: Optional[int
 
 def _graph_output(cfg: RunConfig, index: int, payload: str, colouring: Optional[str]) -> Output:
     try:
-        g = _parse_payload(payload, cfg.format)
+        g = parse_graph6(payload) if cfg.format == "graph6" else parse_edge_list(payload)
     except GraphFormatError as exc:
         return _error_output(cfg, index, str(exc), exc.offset)
     except DeltaMinError as exc:
@@ -261,47 +252,30 @@ def _run_batch(cfg: RunConfig, items: list[Item], out: TextIO) -> int:
     return status
 
 
-def cmd_solve(cfg: RunConfig, out: Optional[TextIO] = None) -> int:
-    # imported before the pool forks, so that workers do not import it again
-    from . import solver  # noqa: F401
-
-    out = out if out is not None else sys.stdout
-    payloads = _load_graphs(cfg)
-    if cfg.output == "csv":
-        out.write("name,n,m,s,method\n")
-    return _run_batch(cfg, payloads, out)
-
-
-def cmd_analyze(cfg: RunConfig, out: Optional[TextIO] = None) -> int:
-    """Solve, verify the witness, and report parity in one record per graph."""
+def cmd_batch(cfg: RunConfig, colouring_path: Optional[str] = None, out: Optional[TextIO] = None) -> int:
+    """Solve, analyze (solve, verify the witness and report parity) or verify
+    each graph, one record per graph.  graph6 input holds one graph per
+    non-blank line, an edge-list file a single graph; verify checks each
+    graph against the colouring line at its position in colouring_path."""
     # imported before the pool forks, so that workers do not import them again
-    from . import solver, structure  # noqa: F401
-
-    return _run_batch(cfg, _load_graphs(cfg), out if out is not None else sys.stdout)
-
-
-# ---------------------------------------------------------------------------
-# verify
-
-
-def cmd_verify(cfg: RunConfig, colouring_path: str, out: Optional[TextIO] = None) -> int:
-    """Check each graph's colouring, given by the line at the same position
-    in the colouring file, against every structural clause."""
-    # imported before the pool forks, so that workers do not import them again
-    from . import colouring, structure  # noqa: F401
+    if cfg.command != "verify":
+        from . import solver  # noqa: F401
+    if cfg.command != "solve":
+        from . import structure  # noqa: F401
 
     if cfg.input_path == "-" and colouring_path == "-":
         raise _Unreadable("graphs and colourings cannot both be read from standard input")
-    items = _load_graphs(cfg)
-    colour_lines = [
-        ln for ln in _read_text(colouring_path).splitlines() if ln.strip()
-    ]
-    # an item's index is its position in the input
+    path = cfg.input_path or "-"
+    payloads = _lines(path) if cfg.format == "graph6" else [_read_text(path)]
+    colourings = _lines(colouring_path) if colouring_path is not None else []
     items = [
-        (index, payload, colour_lines[index] if index < len(colour_lines) else None)
-        for index, payload, _ in items
+        (index, payload, colourings[index] if index < len(colourings) else None)
+        for index, payload in enumerate(payloads)
     ]
-    return _run_batch(cfg, items, out if out is not None else sys.stdout)
+    out = out if out is not None else sys.stdout
+    if cfg.output == "csv":
+        out.write("name,n,m,s,method\n")
+    return _run_batch(cfg, items, out)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +365,7 @@ def _add_common(p: argparse.ArgumentParser, batch: bool = True) -> None:
     """--exact-limit and --seed; a batch command (solve, verify, analyze)
     also takes an input, --format and --jobs."""
     if batch:
-        p.add_argument("input", help="input path, or - for standard input")
+        p.add_argument("input_path", metavar="input", help="input path, or - for standard input")
         p.add_argument(
             "--format", choices=("graph6", "edgelist"), default="graph6",
             help="input encoding (graph6: one graph per line)",
@@ -418,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="minimum delta count per graph")
     _add_common(p_solve)
     p_solve.add_argument(
-        "--out", choices=("json", "csv", "dot"), default="json",
+        "--out", dest="output", choices=("json", "csv", "dot"), default="json",
         help="report format",
     )
 
@@ -449,18 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        format=getattr(args, "format", "graph6"),
-        output=getattr(args, "out", "json"),
-        exact_limit=getattr(args, "exact_limit", DEFAULT_EXACT_LIMIT),
-        seed=getattr(args, "seed", 0),
-        jobs=getattr(args, "jobs", 1),
-    )
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     if "DELTAMIN_LOG" in os.environ:
         _log()
@@ -468,18 +430,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "generate":
         return cmd_generate(args)
+    # every argument but verify's colouring file is a RunConfig field
+    colouring_path = vars(args).pop("colouring", None)
     try:
-        cfg = _config_from(args)
+        cfg = RunConfig(**vars(args))
     except ValueError as exc:
         parser.error(str(exc))
     try:
-        if args.command == "solve":
-            return cmd_solve(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.colouring)
-        if args.command == "analyze":
-            return cmd_analyze(cfg)
-        return cmd_suite(cfg)
+        if cfg.command == "suite":
+            return cmd_suite(cfg)
+        return cmd_batch(cfg, colouring_path)
     except _Unreadable as exc:
         print(f"deltamin {args.command}: {exc}", file=sys.stderr)
         return 2

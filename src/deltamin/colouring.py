@@ -198,12 +198,16 @@ def _walk_chain(g: Graph, code: list[int], x: int, y: int, start: int, eid: int)
 
     At each vertex the walk goes on along the first incident edge, in
     adjacency order, whose code is x or y and that is not the edge it came
-    by."""
+    by.  Where delta clashes, that rule can lead into a loop that misses
+    start; a walk that has taken as many steps as there are edge directions
+    without ending is in one, and raises DomainError."""
     adjacency = g.adjacency
     a, b = g.edges[eid]
     at = b if a == start else a
     verts, eids = [start], [eid]
-    while at != start:
+    for _ in range(2 * len(code)):
+        if at == start:
+            return verts, eids
         verts.append(at)
         for w, e in adjacency[at]:
             if e != eid and (code[e] == x or code[e] == y):
@@ -212,7 +216,7 @@ def _walk_chain(g: Graph, code: list[int], x: int, y: int, start: int, eid: int)
             return verts, eids
         eids.append(e)
         eid, at = e, w
-    return verts, eids
+    raise DomainError(f"the ({x},{y}) chain from vertex {start} does not end")
 
 
 def _chain_components(g: Graph, code: list[int], x: int, y: int) -> list[tuple[bool, list[int], list[int]]]:
@@ -294,9 +298,10 @@ class ColourTable:
     -1 (only delta may clash, so there is at most one); deltas is the set
     of delta edges.  Chains are walked over code, a step costing a look at
     each incident edge of the vertex reached.  For a pair that includes
-    delta, delta must be a matching at the vertices such a chain reaches,
-    or a walk may circle for ever: the descent's plateau meets this, as it
-    runs on a proper colouring.
+    delta, delta must be a matching at the vertices such a chain reaches
+    (the descent's plateau meets this, as it runs on a proper colouring);
+    otherwise a walk may enter a loop that misses its start, and raises
+    DomainError once it has stepped along every edge direction.
     """
 
     __slots__ = ("graph", "code", "at", "deltas")

@@ -23,7 +23,7 @@ from deltamin import (
     solve_exact,
 )
 from deltamin import checks, solver, structure
-from deltamin.cli import RunConfig, cmd_analyze, cmd_solve, cmd_suite, cmd_verify, main
+from deltamin.cli import RunConfig, cmd_suite, main
 
 PETERSEN_G6 = emit_graph6(make_named("petersen"))
 GOLDEN = Path(__file__).parent / "golden"
@@ -580,6 +580,21 @@ def test_analyze_isolates_a_failing_graph(tmp_path, capsys, monkeypatch, jobs):
     assert [r["s"] for r in recs if "s" in r] == [0] * 8
 
 
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_edge_list_input_gives_the_graph6_record(tmp_path, capsys, command):
+    # an edge-list file holds one graph, whose colouring is line 0 of the
+    # colouring file (blank lines do not count); its record is the one its
+    # graph6 line gives
+    col = write(tmp_path, "colours.jsonl", "\n" + witness_line(PETERSEN_G6) + "\n")
+    runs = []
+    for fmt, text in (("graph6", PETERSEN_G6 + "\n"), ("edgelist", emit_edge_list(parse_graph6(PETERSEN_G6)))):
+        argv = [command, write(tmp_path, fmt, text), "--format", fmt]
+        runs.append(run_main(argv + (["--colouring", col] if command == "verify" else []), capsys=capsys))
+    assert runs[0] == runs[1]
+    code, out, _ = runs[0]
+    assert code == 0 and json.loads(out)["s"] == 2
+
+
 def test_analyze_bad_line_errors(tmp_path, capsys, monkeypatch):
     grf = write(tmp_path, "in.g6", "C\n")
     code, out, _ = run_main(["analyze", grf], capsys=capsys)
@@ -713,6 +728,22 @@ def test_bad_flags_exit_with_usage(capsys, monkeypatch):
         main(["suite", "--jobs", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+# deltamin's --help and each subcommand's, and the usage error of a batch
+# command given no input
+HELP_ARGVS = [["--help"], *([cmd, "--help"] for cmd in ("solve", "verify", "analyze", "generate", "suite")), ["solve"]]
+
+
+def test_parser_surface_matches_golden(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal's width
+    parts = []
+    for argv in HELP_ARGVS:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        parts.append(f"$ deltamin {' '.join(argv)}\n{out}{err}exit {exc.value.code}\n")
+    assert "".join(parts).encode("utf-8") == (GOLDEN / "cli_help.txt").read_bytes()
 
 
 def test_module_entry_point():

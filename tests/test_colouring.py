@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -611,6 +613,29 @@ def test_colour_table_chains_on_delta_improper_tables_match_frozen_walk():
                 assert met["forks"] == forks and components is not None
     assert listed > 1000 and walked > 8000 and met["forks"] > 10000, (listed, walked, met)
     assert unlisted > 0
+
+
+@pytest.mark.parametrize("call", ["path_from(0, 0, 3)", "components(0, 3)"])
+def test_colour_table_walk_that_cannot_end_raises(call):
+    # the (alpha, delta) walk from vertex 0 enters the delta clash at vertex 1
+    # and goes round the triangle 1-2-3 without coming back to 0; a walk that
+    # does not end must fail the test, not hang it or fill memory, so it runs
+    # in a child process with a timeout and a 1 GiB address-space cap
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from deltamin import Colour, DomainError, EdgeColouring, Graph\n"
+        "from deltamin.colouring import ColourTable\n"
+        "D, A = Colour.DELTA, Colour.ALPHA\n"
+        "t = ColourTable(EdgeColouring(Graph(4, [(1, 2), (1, 3), (0, 1), (2, 3)]), [D, D, A, A]))\n"
+        "try:\n"
+        f"    t.{call}\n"
+        "except DomainError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "the (0,3) chain from vertex 0 does not end\n"
 
 
 def test_colour_table_guards():
