@@ -5,10 +5,11 @@ graph6 lines (or a single edge-list file), reports stream out as JSON lines;
 solve also offers CSV and DOT.  Input "-" reads standard input.  The env
 var DELTAMIN_LOG sets log verbosity (DEBUG, INFO, ...).
 
-solve, analyze and verify share one entry, cmd_batch.  Before its pool
-forks it imports the solver unless it verifies, and the structure layer
-unless it solves; generate starts without either, and only suite loads the
-property checks.
+solve, analyze and verify share one entry, cmd_batch, which maps one
+per-graph function over the input, in this process or, with --jobs, in a
+process pool.  Before the pool forks it imports the solver unless it
+verifies, and the structure layer unless it solves; generate starts without
+either, and only suite loads the property checks.
 
 All records are emitted in input order with sorted keys, so output is
 byte-stable for a fixed (input, config, seed).
@@ -81,8 +82,8 @@ def _log() -> logging.Logger:
 
 
 class _Unreadable(Exception):
-    """An input that cannot be read (a file, or standard input asked for
-    twice): the command exits 2."""
+    """An unreadable input (a file, or standard input asked for twice) or a
+    colouring file with more lines than graphs: the command exits 2."""
 
 
 def _read_text(path: str) -> str:
@@ -102,12 +103,6 @@ def _lines(path: str) -> list[str]:
     """The non-blank lines of a file, or of standard input for "-"."""
     text = _read_text(path)
     return [ln for ln in text.splitlines() if ln.strip()]
-
-
-# One graph's input: its index, its raw text, and for verify its colouring
-# line (None when the colouring file has no line for it, and for the other
-# commands).
-Item = tuple[int, str, Optional[str]]
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +198,8 @@ def _error_output(cfg: RunConfig, index: int, message: str, offset: Optional[int
 def _graph_output(cfg: RunConfig, index: int, payload: str, colouring: Optional[str]) -> Output:
     try:
         g = parse_graph6(payload) if cfg.format == "graph6" else parse_edge_list(payload)
-    except GraphFormatError as exc:
-        return _error_output(cfg, index, str(exc), exc.offset)
     except DeltaMinError as exc:
-        return _error_output(cfg, index, str(exc), None)
+        return _error_output(cfg, index, str(exc), exc.offset if isinstance(exc, GraphFormatError) else None)
     try:
         if cfg.command == "verify":
             return _verify_output(cfg, index, g, colouring)
@@ -216,47 +209,36 @@ def _graph_output(cfg: RunConfig, index: int, payload: str, colouring: Optional[
         return _error_output(cfg, index, f"{type(exc).__name__}: {exc}", None)
 
 
-def _run_chunk(cfg: RunConfig, chunk: list[Item]) -> list[Output]:
-    return [_graph_output(cfg, *item) for item in chunk]
-
-
-def _chunk_outputs(cfg: RunConfig, chunks: list[list[Item]]) -> Iterator[list[Output]]:
-    run = functools.partial(_run_chunk, cfg)
-    if cfg.jobs == 1 or len(chunks) < 2:
-        yield from map(run, chunks)
+def _outputs(cfg: RunConfig, payloads: list[str], colourings: list[str]) -> Iterator[Output]:
+    """Each graph's output, in input order; verify checks graph i against
+    colourings[i], or None past the last line.  Above --jobs 1 a pool takes
+    contiguous chunks of ceil(n / (4 * jobs)) graphs: about four chunks per
+    worker keep the load even when slow graphs bunch together, yet cost few
+    round trips.  The pool forks every worker at its first submit, so it
+    starts at most one per chunk, and a batch that would start fewer than
+    two runs in this process.  A graph's text depends only on its line and
+    the config, so output does not depend on --jobs."""
+    run = functools.partial(_graph_output, cfg)
+    n = len(payloads)
+    columns = (range(n), payloads, colourings + [None] * (n - len(colourings)))
+    size = -(-n // (4 * cfg.jobs)) or 1
+    workers = min(cfg.jobs, -(-n // size))
+    if workers < 2:
+        yield from map(run, *columns)
         return
     # imported here so that runs without a pool do not pay for it
     from concurrent.futures import ProcessPoolExecutor
 
-    # the pool forks all its workers at the first submit, so fewer chunks
-    # than jobs must not start idle ones
-    with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(chunks))) as pool:
-        yield from pool.map(run, chunks)
-
-
-def _run_batch(cfg: RunConfig, items: list[Item], out: TextIO) -> int:
-    """Every graph through parse, solve or verify, and render, in contiguous
-    chunks, about four per worker (a process pool when --jobs is above 1).
-    Chunks are written in input order and each graph's text depends only on
-    its item and the config, so output does not depend on --jobs."""
-    size = -(-len(items) // (4 * cfg.jobs)) or 1
-    chunks = [items[i:i + size] for i in range(0, len(items), size)]
-    status = 0
-    for chunk, outputs in zip(chunks, _chunk_outputs(cfg, chunks)):
-        for (index, _, _), (text, error, passed) in zip(chunk, outputs):
-            out.write(text)
-            if error is not None:
-                _log().error("graph %d: %s", index, error)
-            if not passed:
-                status = 1
-    return status
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(run, *columns, chunksize=size)
 
 
 def cmd_batch(cfg: RunConfig, colouring_path: Optional[str] = None, out: Optional[TextIO] = None) -> int:
     """Solve, analyze (solve, verify the witness and report parity) or verify
     each graph, one record per graph.  graph6 input holds one graph per
     non-blank line, an edge-list file a single graph; verify checks each
-    graph against the colouring line at its position in colouring_path."""
+    graph against the colouring line at its position in colouring_path,
+    which may hold fewer lines than there are graphs but not more."""
     # imported before the pool forks, so that workers do not import them again
     if cfg.command != "verify":
         from . import solver  # noqa: F401
@@ -268,14 +250,19 @@ def cmd_batch(cfg: RunConfig, colouring_path: Optional[str] = None, out: Optiona
     path = cfg.input_path or "-"
     payloads = _lines(path) if cfg.format == "graph6" else [_read_text(path)]
     colourings = _lines(colouring_path) if colouring_path is not None else []
-    items = [
-        (index, payload, colourings[index] if index < len(colourings) else None)
-        for index, payload in enumerate(payloads)
-    ]
+    if len(colourings) > len(payloads):
+        raise _Unreadable(f"{colouring_path} holds {len(colourings)} colourings for {len(payloads)} graphs")
     out = out if out is not None else sys.stdout
     if cfg.output == "csv":
         out.write("name,n,m,s,method\n")
-    return _run_batch(cfg, items, out)
+    status = 0
+    for index, (text, error, passed) in enumerate(_outputs(cfg, payloads, colourings)):
+        out.write(text)
+        if error is not None:
+            _log().error("graph %d: %s", index, error)
+        if not passed:
+            status = 1
+    return status
 
 
 # ---------------------------------------------------------------------------

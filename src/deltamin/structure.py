@@ -399,21 +399,17 @@ def verify_theorem1(c: EdgeColouring, s_known: Optional[int] = None) -> Verifica
 # parity
 
 
-class ParitySignature(tuple):
-    """(|A|, |B|, |C|, parity_ok) with named access."""
+class ParitySignature(NamedTuple):
+    """(|A|, |B|, |C|, parity_ok)."""
 
-    __slots__ = ()
-
-    def __new__(cls, a: int, b: int, c: int, parity_ok: bool):
-        return super().__new__(cls, (a, b, c, parity_ok))
+    a: int
+    b: int
+    c: int
+    parity_ok: bool
 
     @property
     def counts(self) -> tuple[int, int, int]:
-        return self[0], self[1], self[2]
-
-    @property
-    def parity_ok(self) -> bool:
-        return self[3]
+        return self.a, self.b, self.c
 
 
 def parity_signature(cl: DeltaClassification) -> ParitySignature:

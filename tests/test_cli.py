@@ -306,7 +306,7 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
+    def map(self, fn, *iterables, chunksize=1):
         return map(fn, *iterables)
 
 concurrent.futures.ProcessPoolExecutor = RecordingPool
@@ -339,10 +339,12 @@ def test_solving_modules_load_before_the_pool_forks(command, needed):
 @pytest.mark.parametrize("graphs, jobs, workers", [(2, 64, 2), (9, 2, 2)])
 def test_pool_starts_at_most_one_worker_per_chunk(tmp_path, capsys, monkeypatch, graphs, jobs, workers):
     # the pool forks every worker at its first submit, so max_workers is the
-    # number of processes started; a fake pool records it and maps in-process
+    # number of processes started; a fake pool records it and the chunk size
+    # (1 for 2 graphs at --jobs 64, 2 for 9 at --jobs 2), and maps in-process
     import concurrent.futures
 
     started = []
+    chunksizes = []
 
     class FakePool:
         def __init__(self, max_workers):
@@ -354,7 +356,8 @@ def test_pool_starts_at_most_one_worker_per_chunk(tmp_path, capsys, monkeypatch,
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
+        def map(self, fn, *iterables, chunksize=1):
+            chunksizes.append(chunksize)
             return map(fn, *iterables)
 
     lines = (GOLDEN / "solve_batch.g6").read_text().splitlines()
@@ -363,6 +366,7 @@ def test_pool_starts_at_most_one_worker_per_chunk(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     _, pooled, _ = run_main(["solve", path, "--jobs", str(jobs)], capsys=capsys)
     assert started == [workers]
+    assert chunksizes == [-(-graphs // (4 * jobs))]
     assert pooled == serial
 
 
@@ -463,6 +467,17 @@ def test_verify_clause_failure_has_witness(tmp_path, capsys, monkeypatch):
     assert failing["cycle_oddness"]["witness"] is not None
     passing = [cl for cl in rec["clauses"] if cl["pass"]]
     assert all(cl["witness"] is None for cl in passing)
+
+
+def test_verify_refuses_more_colourings_than_graphs(tmp_path, capsys):
+    # a surplus line means the colourings belong to other input, so no
+    # record is trusted: exit 2 before any output
+    grf = write(tmp_path, "in.g6", PETERSEN_G6 + "\n")
+    col = write(tmp_path, "colours.jsonl", (witness_line(PETERSEN_G6) + "\n\n") * 2)
+    code, out, err = run_main(["verify", grf, "--colouring", col], capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"deltamin verify: {col} holds 2 colourings for 1 graphs\n"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2", "3"])
