@@ -113,7 +113,7 @@ def _lines(path: str) -> list[str]:
 # message or None, and whether it passed (for analyze: every clause holds).
 Output = tuple[str, Optional[str], bool]
 
-# keyed by colour code (Colour.value)
+# keyed by colour code letter
 _DOT_EDGE_STYLE = {
     "a": 'color="#1b9e77"',
     "b": 'color="#7570b3"',
@@ -130,8 +130,8 @@ def _json_line(rec: dict) -> str:
 
 def _dot_block(index: int, g: Graph, result: SolveResult) -> str:
     stats = f"n={g.vertex_count} m={g.edge_count} s={result.s_value} method={result.method.value}"
-    edges = zip(g.edges, result.witness.colours)
-    body = "".join(f"  {u} -- {v} [{_DOT_EDGE_STYLE[c.value]}];\n" for (u, v), c in edges)
+    edges = zip(g.edges, result.witness.codes)
+    body = "".join(f"  {u} -- {v} [{_DOT_EDGE_STYLE[k]}];\n" for (u, v), k in edges)
     return f"graph g{index} {{\n  // {stats}\n{body}}}\n"
 
 
@@ -154,7 +154,7 @@ def _render(cfg: RunConfig, index: int, g: Graph) -> Output:
         "m": g.edge_count,
         "s": result.s_value,
         "method": result.method.value,
-        "colours": [c.value for c in result.witness.colours],
+        "colours": list(result.witness.codes),
     }
     if cfg.command != "analyze":
         return _json_line(rec), None, True

@@ -7,8 +7,10 @@ adjacencies allowed at delta only) are the halfway state the properize
 reduction repairs.
 
 EdgeColouring is the record: immutable, checked, and what the solvers
-return.  ColourTable is where colours move: the repair, the descent, the
-delta shift and the verifier's joining-path walks all run on it in place.
+return.  Its value is one string of code letters (a, b, g, d), which the
+solvers build directly and the JSON prints; its Colour tuple is built only
+when read.  ColourTable is where colours move: the repair, the descent,
+the delta shift and the verifier run on it in place, over codes 0-3.
 
 Every Kempe chain is walked by one walker over colour codes, _walk_chain:
 a step looks at the at most three edges of the vertex it reaches, and
@@ -31,13 +33,6 @@ class Colour(enum.Enum):
     GAMMA = "g"
     DELTA = "d"
 
-    @classmethod
-    def from_code(cls, code: str) -> "Colour":
-        for c in cls:
-            if c.value == code:
-                return c
-        raise DomainError(f"unknown colour code {code!r}")
-
     def __lt__(self, other: "Colour") -> bool:
         return COLOUR_ORDER.index(self) < COLOUR_ORDER.index(other)
 
@@ -49,7 +44,11 @@ class Colour(enum.Enum):
 
 COLOUR_ORDER = (Colour.ALPHA, Colour.BETA, Colour.GAMMA, Colour.DELTA)
 NON_DELTA = (Colour.ALPHA, Colour.BETA, Colour.GAMMA)
-_CODE = {col: k for k, col in enumerate(COLOUR_ORDER)}  # ColourTable's codes
+# the code letters in colour order: a letter's index is its ColourTable code
+CODES = "abgd"
+_COLOUR_OF = {c.value: c for c in Colour}  # for the Colour views of a colouring
+_TO_TABLE = bytes.maketrans(CODES.encode(), bytes(range(4)))
+_TO_LETTER = bytes.maketrans(bytes(range(4)), CODES.encode())
 
 
 class ColouringKind(enum.Enum):
@@ -59,74 +58,70 @@ class ColouringKind(enum.Enum):
 
 
 class EdgeColouring:
-    """Total assignment of the four colours to the edges of a graph.
-
-    Immutable; edits go through with_colours, which returns a new object.
+    """Total assignment of the four colours to the edges of a graph: the
+    string codes, edge e's code letter at position e.  Immutable; edits go
+    through with_colours, which returns a new object.
     """
 
-    __slots__ = ("graph", "colours")
+    __slots__ = ("graph", "codes")
 
-    def __init__(self, graph: Graph, colours: Iterable[Colour]):
-        colours = tuple(colours)
-        if len(colours) != graph.edge_count:
-            raise DomainError(
-                f"expected {graph.edge_count} colours, got {len(colours)}"
-            )
-        for c in colours:
-            if not isinstance(c, Colour):
-                raise DomainError(f"not a colour: {c!r}")
+    def __init__(self, graph: Graph, colours: str | Iterable[Colour]):
+        """colours is either a string of code letters or Colour members, one
+        per edge in the graph's edge order."""
+        if isinstance(colours, str):
+            codes, bad = colours, colours.lstrip(CODES)[:1]
+        else:
+            colours = tuple(colours)
+            bad = [c for c in colours if not isinstance(c, Colour)][:1]
+            codes = colours if bad else "".join(c.value for c in colours)
+        if len(codes) != graph.edge_count:
+            raise DomainError(f"expected {graph.edge_count} colours, got {len(codes)}")
+        if bad:
+            raise DomainError(f"not a colour: {bad[0]!r}")
         self.graph = graph
-        self.colours = colours
+        self.codes = codes
+
+    @property
+    def colours(self) -> tuple[Colour, ...]:
+        return tuple(map(_COLOUR_OF.__getitem__, self.codes))
 
     def colour_of(self, eid: int) -> Colour:
-        return self.colours[eid]
+        return _COLOUR_OF[self.codes[eid]]
 
     def colour_class(self, x: Colour) -> frozenset[int]:
-        return frozenset(e for e, c in enumerate(self.colours) if c is x)
+        return frozenset(e for e, k in enumerate(self.codes) if k == x.value)
 
     def delta_count(self) -> int:
-        return self.colours.count(Colour.DELTA)
+        return self.codes.count("d")
 
     def colours_at(self, v: int, skip: int | None = None) -> list[Colour]:
         """Colours on the edges incident to v, optionally skipping one edge."""
-        return [
-            self.colours[eid]
-            for _, eid in self.graph.adjacency[v]
-            if eid != skip
-        ]
+        return [_COLOUR_OF[self.codes[eid]] for _, eid in self.graph.adjacency[v] if eid != skip]
 
     def classification(self) -> ColouringKind:
         """Proper, delta-improper (clashes at delta only), or invalid.
 
         A colour clashes exactly when its class is not a matching, that is
         when some vertex repeats in the list of its edges' endpoints."""
-        ends: dict[Colour, list[int]] = {x: [] for x in COLOUR_ORDER}
-        for e, c in zip(self.graph.edges, self.colours):
-            ends[c].extend(e)
-        worst = ColouringKind.PROPER
-        for x, touched in ends.items():
-            if len(touched) == len(set(touched)):
-                continue
-            if x is not Colour.DELTA:
-                return ColouringKind.INVALID
-            worst = ColouringKind.DELTA_IMPROPER
-        return worst
+        ends: dict[str, list[int]] = {k: [] for k in CODES}
+        for e, k in zip(self.graph.edges, self.codes):
+            ends[k].extend(e)
+        clashing = [k for k, touched in ends.items() if len(touched) > len(set(touched))]
+        if not clashing:
+            return ColouringKind.PROPER
+        return ColouringKind.DELTA_IMPROPER if clashing == ["d"] else ColouringKind.INVALID
 
     def with_colours(self, changes: Mapping[int, Colour]) -> "EdgeColouring":
-        """A copy with the given edges recoloured.  Only the new colours are
-        checked: the others were checked when self was built."""
-        new = list(self.colours)
+        """A copy with the given edges recoloured."""
+        new = list(self.codes)
         for eid, c in changes.items():
             if not isinstance(c, Colour):
                 raise DomainError(f"not a colour: {c!r}")
-            new[eid] = c
-        out = object.__new__(EdgeColouring)
-        out.graph = self.graph
-        out.colours = tuple(new)
-        return out
+            new[eid] = c.value
+        return EdgeColouring(self.graph, "".join(new))
 
     def to_json(self) -> str:
-        return json.dumps({"colours": [c.value for c in self.colours]})
+        return json.dumps({"colours": list(self.codes)})
 
     @classmethod
     def from_json(cls, graph: Graph, text: str) -> "EdgeColouring":
@@ -139,7 +134,11 @@ class EdgeColouring:
         codes = payload["colours"]
         if not isinstance(codes, list):
             raise DomainError('"colours" must be an array of colour codes')
-        return cls(graph, [Colour.from_code(c) for c in codes])
+        # each entry on its own, so that no joined run of letters passes
+        for k in codes:
+            if not isinstance(k, str) or len(k) != 1 or k not in CODES:
+                raise DomainError(f"unknown colour code {k!r}")
+        return cls(graph, "".join(codes))
 
     def __eq__(self, other: object) -> bool:
         """Colour assignments are positional, so equality requires the two
@@ -149,14 +148,14 @@ class EdgeColouring:
             isinstance(other, EdgeColouring)
             and self.graph.vertex_count == other.graph.vertex_count
             and self.graph.edges == other.graph.edges
-            and self.colours == other.colours
+            and self.codes == other.codes
         )
 
     def __hash__(self) -> int:
-        return hash((self.graph.edges, self.colours))
+        return hash((self.graph.edges, self.codes))
 
     def __repr__(self) -> str:
-        return f"EdgeColouring({''.join(c.value for c in self.colours)})"
+        return f"EdgeColouring({self.codes})"
 
 
 class KempeComponent(NamedTuple):
@@ -260,7 +259,7 @@ def kempe_decompose(c: EdgeColouring, x: Colour, y: Colour) -> KempeDecompositio
     """
     if x is y:
         raise DomainError("need two distinct colours")
-    g, code, kx, ky = c.graph, [_CODE[col] for col in c.colours], _CODE[x], _CODE[y]
+    g, code, kx, ky = c.graph, list(c.codes.encode().translate(_TO_TABLE)), CODES.index(x.value), CODES.index(y.value)
     for v, nbrs in enumerate(g.adjacency):
         here = [code[e] for _, e in nbrs]
         if here.count(kx) > 1 or here.count(ky) > 1:
@@ -283,17 +282,17 @@ def kempe_swap(c: EdgeColouring, d: KempeDecomposition, index: int) -> EdgeColou
     if not 0 <= index < len(d.components):
         raise DomainError(f"no component {index}")
     x, y = d.pair
-    changes = {}
+    codes = list(c.codes)
     for eid in d.components[index].edges:
-        changes[eid] = y if c.colours[eid] is x else x
-    return c.with_colours(changes)
+        codes[eid] = y.value if codes[eid] == x.value else x.value
+    return EdgeColouring(c.graph, "".join(codes))
 
 
 class ColourTable:
     """A delta-improper colouring held for in-place Kempe moves, so that a
     move costs the edges it touches rather than a copy of the colouring.
 
-    A colour's code is its index in COLOUR_ORDER (delta is 3).  code[e] is
+    A colour's code is its letter's index in CODES (delta is 3).  code[e] is
     edge e's code; at[3 * v + k] is the edge of code k < 3 at vertex v, or
     -1 (only delta may clash, so there is at most one); deltas is the set
     of delta edges.  Chains are walked over code, a step costing a look at
@@ -309,7 +308,7 @@ class ColourTable:
     def __init__(self, c: EdgeColouring):
         g = c.graph
         self.graph = g
-        self.code = [_CODE[col] for col in c.colours]
+        self.code = list(c.codes.encode().translate(_TO_TABLE))
         self.at = [-1] * (3 * g.vertex_count)
         self.deltas = {e for e, k in enumerate(self.code) if k == 3}
         for e, (a, b) in enumerate(g.edges):
@@ -324,7 +323,7 @@ class ColourTable:
     def colouring(self, codes: Iterable[int]) -> EdgeColouring:
         """The EdgeColouring of this table's graph with the given codes, such
         as a snapshot tuple(self.code)."""
-        return EdgeColouring(self.graph, [COLOUR_ORDER[k] for k in codes])
+        return EdgeColouring(self.graph, bytes(codes).translate(_TO_LETTER).decode())
 
     def free(self, v: int) -> list[int]:
         """The codes below 3 that no edge at v has, ascending."""

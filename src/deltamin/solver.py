@@ -40,8 +40,7 @@ from itertools import combinations
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .colouring import (
-    COLOUR_ORDER,
-    Colour,
+    CODES,
     ColourTable,
     ColouringKind,
     EdgeColouring,
@@ -82,16 +81,15 @@ class TwoFactor(NamedTuple):
 # ---------------------------------------------------------------------------
 # 3-edge-colouring search
 
-_COLOUR_OF_BIT = {1: Colour.ALPHA, 2: Colour.BETA, 4: Colour.GAMMA}
 _EXCLUDED = 8  # marks a deleted edge; never a colour bit
+# a colour bit's code letter; a deleted edge reads delta
+_LETTER_OF_BIT = bytes.maketrans(bytes((1, 2, 4, _EXCLUDED)), CODES.encode())
 
 
-def _three_edge_colouring(
-    g: Graph, excluded: frozenset[int] = frozenset()
-) -> Optional[list[Optional[Colour]]]:
+def _three_edge_colouring(g: Graph, excluded: frozenset[int] = frozenset()) -> Optional[str]:
     """Proper 3-edge-colouring of g minus the excluded edges, or None.
 
-    Positional over g's edges; excluded edges read None.  Iterative, with
+    The code letters over g's edges; excluded edges read delta.  Iterative, with
     an explicit stack of branch points and a trail of coloured edges, so no
     recursion limit bounds the graph size.  Forcing, branch rule, colour
     order and symmetry rule are those of the witness contract in the module
@@ -158,7 +156,7 @@ def _three_edge_colouring(
     while True:
         e = branch_edge()
         if e is None:
-            return [_COLOUR_OF_BIT.get(bit) for bit in bit_of]
+            return bytes(bit_of).translate(_LETTER_OF_BIT).decode()
         # forcing adds no colour while fewer than two are in use, so the
         # branch choices on the stack give the colours in use wherever that
         # matters; a third colour forced in leaves one unused, which is kept
@@ -185,8 +183,8 @@ def _three_edge_colouring(
 
 def is_3_edge_colourable(g: Graph) -> Optional[EdgeColouring]:
     """A proper colouring using only alpha, beta, gamma, if one exists."""
-    colours = _three_edge_colouring(g)
-    return None if colours is None else EdgeColouring(g, colours)
+    codes = _three_edge_colouring(g)
+    return None if codes is None else EdgeColouring(g, codes)
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +379,9 @@ def _solve_exact_connected(g: Graph) -> SolveResult:
             k = max(k, sum(s for _, s in blocks))
         if not (k == 1 and cubic):
             for matching in _matchings_of_size(g, candidates, k, blocks):
-                partial = _three_edge_colouring(g, matching)
-                if partial is None:
-                    continue
-                colours = [Colour.DELTA if c is None else c for c in partial]
-                return SolveResult(k, EdgeColouring(g, colours), Method.EXACT)
+                codes = _three_edge_colouring(g, matching)
+                if codes is not None:
+                    return SolveResult(k, EdgeColouring(g, codes), Method.EXACT)
         k += 1
     raise AssertionError("unreachable: deleting a maximal matching leaves a 3-colourable graph")
 
@@ -421,15 +417,14 @@ def solve_exact(g: Graph) -> SolveResult:
     if len(comps) <= 1:
         return _solve_exact_connected(g)
     total = 0
-    colour_by_edge: dict[int, Colour] = {}
+    codes = [""] * g.edge_count
     for comp in comps:
         sub, _, edge_map = induced_subgraph(g, comp)
         result = _solve_exact_connected(sub)
         total += result.s_value
-        for sub_eid, col in enumerate(result.witness.colours):
-            colour_by_edge[edge_map[sub_eid]] = col
-    witness = EdgeColouring(g, [colour_by_edge[e] for e in range(g.edge_count)])
-    return SolveResult(total, witness, Method.EXACT)
+        for sub_eid, k in enumerate(result.witness.codes):
+            codes[edge_map[sub_eid]] = k
+    return SolveResult(total, EdgeColouring(g, "".join(codes)), Method.EXACT)
 
 
 def resistance_exact(g: Graph) -> int:
@@ -661,7 +656,7 @@ def lemma1_colouring(g: Graph, f: TwoFactor) -> EdgeColouring:
     if not g.is_cubic():
         raise DomainError("needs a cubic graph")
     _validate_two_factor(g, f)
-    colours: dict[int, Colour] = {eid: Colour.GAMMA for eid in f.matching}
+    codes = ["g"] * g.edge_count  # the matching's; every cycle edge is overwritten
     for cyc in f.cycles:
         root = min(cyc)
         ri = cyc.index(root)
@@ -675,10 +670,10 @@ def lemma1_colouring(g: Graph, f: TwoFactor) -> EdgeColouring:
             for i in range(len(ordered))
         ]
         for i, eid in enumerate(eids):
-            colours[eid] = Colour.ALPHA if i % 2 == 0 else Colour.BETA
+            codes[eid] = "ab"[i % 2]
         if len(eids) % 2 == 1:
-            colours[eids[-1]] = Colour.DELTA
-    return EdgeColouring(g, [colours[e] for e in range(g.edge_count)])
+            codes[eids[-1]] = "d"
+    return EdgeColouring(g, "".join(codes))
 
 
 def _validate_two_factor(g: Graph, f: TwoFactor) -> None:
@@ -721,11 +716,11 @@ def _greedy_improper(g: Graph) -> EdgeColouring:
     codes = []
     for u, v in g.edges:
         k = _FIRST_FREE[used[u] | used[v]]
-        codes.append(k)
+        codes.append(CODES[k])
         if k < 3:
             used[u] |= 1 << k
             used[v] |= 1 << k
-    return EdgeColouring(g, [COLOUR_ORDER[k] for k in codes])
+    return EdgeColouring(g, "".join(codes))
 
 
 def _reduce_once(t: ColourTable) -> bool:

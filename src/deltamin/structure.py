@@ -18,7 +18,7 @@ import json
 from itertools import combinations
 from typing import Any, Mapping, NamedTuple, Optional
 
-from .colouring import COLOUR_ORDER, Colour, ColouringKind, ColourTable, EdgeColouring
+from .colouring import CODES, Colour, ColourTable, EdgeColouring
 from .errors import ClassificationError, ContractViolationError, DomainError
 
 
@@ -29,26 +29,18 @@ class DeltaClass(enum.Enum):
 
     @property
     def pair(self) -> tuple[Colour, Colour]:
-        return _PAIR[self]
+        return Colour(_LETTERS[self][0]), Colour(_LETTERS[self][1])
 
     @property
     def external_colour(self) -> Colour:
         """Colour of every edge leaving this class's associated cycles."""
-        return _EXTERNAL[self]
+        return Colour(_LETTERS[self][2])
 
 
-_PAIR = {
-    DeltaClass.A: (Colour.ALPHA, Colour.BETA),
-    DeltaClass.B: (Colour.BETA, Colour.GAMMA),
-    DeltaClass.C: (Colour.ALPHA, Colour.GAMMA),
-}
-_EXTERNAL = {
-    DeltaClass.A: Colour.GAMMA,
-    DeltaClass.B: Colour.ALPHA,
-    DeltaClass.C: Colour.BETA,
-}
+# as code letters, each class's colour pair, then its cycles' external colour
+_LETTERS = {DeltaClass.A: "abg", DeltaClass.B: "bga", DeltaClass.C: "agb"}
 # each class's colour pair as ColourTable codes
-_PAIR_CODES = {cls: (COLOUR_ORDER.index(x), COLOUR_ORDER.index(y)) for cls, (x, y) in _PAIR.items()}
+_PAIR_CODES = {cls: (CODES.index(k[0]), CODES.index(k[1])) for cls, k in _LETTERS.items()}
 
 
 class DeltaClassification(NamedTuple):
@@ -71,6 +63,23 @@ def _joining_cycle(t: ColourTable, e: int, cls: DeltaClass) -> Optional[tuple[in
         return None
     far, path = t.path_from(u, x, y)
     return (e,) + tuple(path) if far == v else None
+
+
+def _deltas_meet(t: ColourTable) -> bool:
+    """Whether two delta edges of the table share a vertex, in O(s)."""
+    return len({v for f in t.deltas for v in t.graph.edges[f]}) < 2 * len(t.deltas)
+
+
+def _proper_table(c: EdgeColouring, refusal: str) -> ColourTable:
+    """c's ColourTable, whose build refuses a non-delta clash, once its delta
+    class is a matching; DomainError(refusal) when c is not proper."""
+    try:
+        t = ColourTable(c)
+    except DomainError:
+        raise DomainError(refusal) from None
+    if _deltas_meet(t):
+        raise DomainError(refusal)
+    return t
 
 
 def _memberships_lenient(
@@ -99,11 +108,10 @@ def classify_delta_edges(c: EdgeColouring) -> DeltaClassification:
     edge with a degree-2 end legitimately lands in two classes and both are
     recorded.
     """
-    if c.classification() is not ColouringKind.PROPER:
-        raise DomainError("classification needs a proper colouring")
+    t = _proper_table(c, "classification needs a proper colouring")
     memberships: dict[int, frozenset[DeltaClass]] = {}
     cycles: dict[tuple[int, DeltaClass], tuple[int, ...]] = {}
-    for e, per_class in _memberships_lenient(ColourTable(c)).items():
+    for e, per_class in _memberships_lenient(t).items():
         kept = []
         for cls, cycle in per_class.items():
             if len(cycle) % 2 == 1:  # even path plus the edge itself
@@ -161,8 +169,7 @@ def shift_delta(
     ends, adjacency, code = c.graph.edges, c.graph.adjacency, t.code
     # the steps look only around the edge taking delta, so the rest of the
     # delta class must be a matching already
-    touched = [v for f in t.deltas for v in ends[f]]
-    if len(set(touched)) < len(touched):
+    if _deltas_meet(t):
         raise DomainError("shift needs a proper colouring: two delta edges meet")
     prev = e
     for cur in cycle[1 : cycle.index(e_target) + 1]:
@@ -221,13 +228,6 @@ class VerificationReport(NamedTuple):
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _cycle_vertices(c: EdgeColouring, cycle: tuple[int, ...]) -> set[int]:
-    verts: set[int] = set()
-    for eid in cycle:
-        verts.update(c.graph.edges[eid])
-    return verts
-
-
 def _boundary_edges(c: EdgeColouring, verts: set[int]) -> list[int]:
     """Edges with exactly one end in verts, ascending."""
     adjacency = c.graph.adjacency
@@ -238,6 +238,8 @@ def _joins(c: EdgeColouring, delta_edges: list[int]) -> dict[tuple[int, int], li
     """Each pair (e1, e2), e1 < e2, of delta edges joined by an edge, mapped
     to its joining edges, ascending.  Delta is a matching, so every vertex
     has at most one delta edge, its owner: one pass files every join."""
+    if not delta_edges:
+        return {}
     owner = {x: e for e in delta_edges for x in c.graph.edges[e]}
     joins: dict[tuple[int, int], list[int]] = {}
     for eid, (a, b) in enumerate(c.graph.edges):
@@ -270,15 +272,15 @@ def verify_theorem1(c: EdgeColouring, s_known: Optional[int] = None) -> Verifica
     The pair, trio and strong-matching clauses read one map of the edges
     joining delta edges, and cycles are compared only where they meet at a
     vertex, so the cost is linear in the graph plus the size of the report.
+    Properness is checked by the one table build; past it, every step is
+    per delta edge, so a witness without one costs that build alone.
     """
-    if c.classification() is not ColouringKind.PROPER:
-        raise DomainError("verification needs a proper colouring")
-    g = c.graph
-    t = ColourTable(c)
+    t = _proper_table(c, "verification needs a proper colouring")
+    g, codes = c.graph, c.codes
     delta_edges = sorted(t.deltas)
     found = _memberships_lenient(t)
     verts_of = {
-        (e, cls): _cycle_vertices(c, cycle)
+        (e, cls): {x for eid in cycle for x in g.edges[eid]}
         for e in delta_edges
         for cls, cycle in found[e].items()
     }
@@ -308,7 +310,7 @@ def verify_theorem1(c: EdgeColouring, s_known: Optional[int] = None) -> Verifica
     bad = []
     for e in delta_edges:
         for cls, cycle in found[e].items():
-            deltas_on = [x for x in cycle if c.colours[x] is Colour.DELTA]
+            deltas_on = [x for x in cycle if codes[x] == "d"]
             if len(cycle) % 2 == 0 or deltas_on != [e]:
                 bad.append({"edge": e, "class": cls.value, "length": len(cycle)})
     clauses.append(_clause("cycle_oddness", bad, "cycles"))
@@ -317,9 +319,9 @@ def verify_theorem1(c: EdgeColouring, s_known: Optional[int] = None) -> Verifica
     bad = []
     for e in delta_edges:
         for cls, cycle in found[e].items():
-            want = cls.external_colour
+            want = _LETTERS[cls][2]
             for eid in _boundary_edges(c, verts_of[(e, cls)]):
-                if c.colours[eid] is not want:
+                if codes[eid] != want:
                     bad.append({"edge": e, "class": cls.value, "external": eid})
     clauses.append(_clause("external_edge_colour", bad, "edges"))
 
@@ -351,7 +353,7 @@ def verify_theorem1(c: EdgeColouring, s_known: Optional[int] = None) -> Verifica
         for cls in found[e]:
             counts[cls.value] += 1
     target = s_known if s_known is not None else len(delta_edges)
-    ok = not g.is_cubic() or _congruent_mod_2(counts["A"], counts["B"], counts["C"], target)
+    ok = _congruent_mod_2(counts["A"], counts["B"], counts["C"], target) or not g.is_cubic()
     clauses.append(
         ClauseResult("parity_congruence", ok, None if ok else {"counts": dict(counts), "target": target})
     )

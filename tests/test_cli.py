@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from deltamin import (
-    Colour,
     EdgeColouring,
     classify_delta_edges,
     emit_edge_list,
@@ -423,7 +422,7 @@ def test_verify_solved_witnesses(tmp_path, capsys, monkeypatch):
 
 def test_verify_corrupted_colouring_fails(tmp_path, capsys, monkeypatch):
     w = solve_exact(parse_graph6(PETERSEN_G6)).witness
-    codes = [c.value for c in w.colours]
+    codes = list(w.codes)
     delta_at = codes.index("d")
     codes[delta_at] = "a"  # breaks properness at some vertex
     grf = write(tmp_path, "in.g6", PETERSEN_G6 + "\n")
@@ -576,7 +575,7 @@ def test_analyze_parity_matches_the_reference_signature(capsys):
             if rec["s"] == 0:
                 assert rec["parity"] is None
                 continue
-            w = EdgeColouring(parse_graph6(g6), [Colour.from_code(x) for x in rec["colours"]])
+            w = EdgeColouring(parse_graph6(g6), "".join(rec["colours"]))
             sig = parity_signature(classify_delta_edges(w))
             assert rec["parity"] == {"counts": list(sig.counts), "parity_ok": sig.parity_ok}
             checked += 1

@@ -1,6 +1,7 @@
 """Colourings, Kempe machinery, and the improper-to-proper repair."""
 
 import itertools
+import json
 import random
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from deltamin import (
     solve_exact,
 )
 from deltamin.colouring import (
+    CODES,
     COLOUR_ORDER,
     NON_DELTA,
     ColourTable,
@@ -168,10 +170,10 @@ def reference_decompose(c: EdgeColouring, x: Colour, y: Colour) -> KempeDecompos
 
 
 def test_colour_codes_and_order():
-    assert Colour.from_code("a") is A
-    assert Colour.from_code("d") is D
+    assert "".join(c.value for c in COLOUR_ORDER) == CODES == "abgd"
+    assert EdgeColouring(make_named("cycle", 4), "abgd").colours == (A, B, G, D)
     with pytest.raises(DomainError):
-        Colour.from_code("x")
+        EdgeColouring(make_named("cycle", 4), "abgx")
     assert sorted([D, G, A, B]) == [A, B, G, D]
 
 
@@ -264,6 +266,60 @@ def test_json_round_trip_and_errors():
         EdgeColouring.from_json(g, '{"colours": ["a","b","z","g","b","a"]}')
     with pytest.raises(DomainError):
         EdgeColouring.from_json(g, '{"colours": ["a"]}')
+
+
+# a 3-edge path, so that "ab" plus "g" would join to the right length
+PATH3 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+
+
+@pytest.mark.parametrize("codes, message", [
+    ('[["a"], "b", "g"]', "unknown colour code ['a']"),
+    ('[1, "b", "g"]', "unknown colour code 1"),
+    ('[null, "b", "g"]', "unknown colour code None"),
+    ('["a", "", "g"]', "unknown colour code ''"),
+    ('["ab", "g"]', "unknown colour code 'ab'"),
+    ('["a", "b", "x"]', "unknown colour code 'x'"),
+], ids=["list", "number", "null", "empty", "joined", "letter"])
+def test_from_json_refuses_each_malformed_code(codes, message):
+    # each entry is checked on its own, before the length, and none of them
+    # escapes as anything but the DomainError that names it
+    with pytest.raises(DomainError) as exc:
+        EdgeColouring.from_json(PATH3, '{"colours": %s}' % codes)
+    assert str(exc.value) == message
+
+
+def test_constructor_refuses_letters_in_a_list_and_other_letters_in_a_string():
+    with pytest.raises(DomainError) as exc:
+        EdgeColouring(PATH3, ["a", "b", "g"])
+    assert str(exc.value) == "not a colour: 'a'"
+    with pytest.raises(DomainError) as exc:
+        EdgeColouring(PATH3, "abx")
+    assert str(exc.value) == "not a colour: 'x'"
+    with pytest.raises(DomainError) as exc:
+        EdgeColouring(PATH3, "abgd")
+    assert str(exc.value) == "expected 3 colours, got 4"
+    assert EdgeColouring(PATH3, "abg") == EdgeColouring(PATH3, [A, B, G])
+
+
+@pytest.mark.parametrize("g, method", [
+    (make_named("petersen"), "Exact"),
+    (make_named("flower", 7), "TwoFactorUpperBound"),
+    (random_subcubic(40, 3), "HeuristicUpperBound"),
+], ids=["exact", "two-factor", "greedy"])
+def test_witness_record_contract(g, method):
+    r = solve_exact(g) if method == "Exact" else heuristic_descent(g, seed=1)
+    assert r.method.value == method
+    w = r.witness
+    # the value is one string of code letters, the JSON's text
+    assert isinstance(w.codes, str) and len(w.codes) == g.edge_count
+    assert json.loads(w.to_json()) == {"colours": list(w.codes)}
+    # colours is a tuple of Colour members, and rebuilding from it (as a
+    # replay from outside the package does) gives an equal colouring
+    assert type(w.colours) is tuple and all(type(c) is Colour for c in w.colours)
+    again = EdgeColouring(g, list(w.colours))
+    assert again == w and hash(again) == hash(w)
+    assert EdgeColouring.from_json(g, w.to_json()) == w
+    assert repr(w) == "EdgeColouring(" + "".join(c.value for c in w.colours) + ")"
 
 
 def test_equality_is_positional():

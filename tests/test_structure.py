@@ -201,7 +201,7 @@ def test_shift_rejects_a_step_onto_a_second_delta_edge():
     # into an odd cycle: B's (0, 5, 3) and A's (6, 5, 7).  Moving delta from
     # 0 onto 5 puts it beside 6 at vertex 0.
     g = Graph(6, [(1, 2), (2, 5), (4, 5), (0, 2), (3, 5), (0, 1), (0, 4), (1, 4)])
-    c = EdgeColouring(g, [Colour.from_code(x) for x in "daggbbda"])
+    c = EdgeColouring(g, "daggbbda")
     cl = classify_delta_edges(c)
     assert cl.cycles == {(0, DeltaClass.B): (0, 5, 3), (6, DeltaClass.A): (6, 5, 7)}
     with pytest.raises(ContractViolationError) as exc:
@@ -273,6 +273,39 @@ def test_verify_requires_proper():
     g = Graph(3, [(0, 1), (1, 2)])
     with pytest.raises(DomainError):
         verify_theorem1(EdgeColouring(g, [D, D]))
+
+
+@pytest.mark.parametrize("colours", [[A, A], [D, D]], ids=["non-delta clash", "delta edges meet"])
+@pytest.mark.parametrize("check, refusal", [
+    (verify_theorem1, "verification needs a proper colouring"),
+    (classify_delta_edges, "classification needs a proper colouring"),
+], ids=["verify", "classify"])
+def test_improper_colourings_are_refused_with_one_text(check, refusal, colours):
+    with pytest.raises(DomainError) as exc:
+        check(EdgeColouring(Graph(3, [(0, 1), (1, 2)]), colours))
+    assert str(exc.value) == refusal
+
+
+def test_verify_and_classify_build_one_table_and_never_classify(petersen_result, monkeypatch):
+    import deltamin.structure as structure
+
+    builds = []
+
+    class CountingTable(ColourTable):
+        def __init__(self, c):
+            builds.append(c)
+            super().__init__(c)
+
+    def refuse(self):
+        raise AssertionError("classification() was called")
+
+    monkeypatch.setattr(structure, "ColourTable", CountingTable)
+    monkeypatch.setattr(EdgeColouring, "classification", refuse)
+    for check in (verify_theorem1, classify_delta_edges):
+        for w in (petersen_result.witness, solve_exact(make_named("k4")).witness):
+            builds.clear()
+            check(w)
+            assert builds == [w]
 
 
 def test_verify_flags_unjoined_delta():
@@ -643,7 +676,7 @@ def test_verify_matches_frozen_reference_on_golden_corpus():
     records = [json.loads(ln) for ln in (GOLDEN / "analyze_heuristic.jsonl").read_text().splitlines()]
     assert len(graphs) == len(records) == 6
     for g6, rec in zip(graphs, records):
-        c = EdgeColouring(parse_graph6(g6), [Colour.from_code(x) for x in rec["colours"]])
+        c = EdgeColouring(parse_graph6(g6), "".join(rec["colours"]))
         report = verify_theorem1(c)
         assert report.to_json() == reference_verify(c).to_json()
         assert json.loads(report.to_json()) == rec["verification"]
