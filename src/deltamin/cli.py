@@ -6,10 +6,12 @@ solve also offers CSV and DOT.  Input "-" reads standard input.  The env
 var DELTAMIN_LOG sets log verbosity (DEBUG, INFO, ...).
 
 solve, analyze and verify share one entry, cmd_batch, which maps one
-per-graph function over the input, in this process or, with --jobs, in a
-process pool.  Before the pool forks it imports the solver unless it
-verifies, and the structure layer unless it solves; generate starts without
-either, and only suite loads the property checks.
+per-graph function over the input, in this process or, with --jobs, in
+workers forked with os.fork that take chunks of graphs one at a time; a
+dead worker stops the batch (exit 2), and without os.fork the batch runs
+here.  Before the workers fork it imports the solver unless it verifies,
+and the structure layer unless it solves; generate starts without either,
+and only suite loads the property checks.
 
 All records are emitted in input order with sorted keys, so output is
 byte-stable for a fixed (input, config, seed).
@@ -25,7 +27,7 @@ import sys
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, TextIO
 
 from . import graphs as graphlib
-from .errors import DeltaMinError, DomainError, GraphFormatError
+from .errors import BatchError, DeltaMinError, DomainError, GraphFormatError
 from .graphs import Graph, emit_graph6, enumerate_cubic, make_named, parse_edge_list, parse_graph6, random_subcubic
 
 if TYPE_CHECKING:
@@ -81,11 +83,6 @@ def _log() -> logging.Logger:
 # input handling
 
 
-class _Unreadable(Exception):
-    """An unreadable input (a file, or standard input asked for twice) or a
-    colouring file with more lines than graphs: the command exits 2."""
-
-
 def _read_text(path: str) -> str:
     """The UTF-8 text of a file, or of standard input for "-".  A byte that is
     not UTF-8 is kept as a surrogate escape, so it fails only its own line."""
@@ -96,7 +93,7 @@ def _read_text(path: str) -> str:
         with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             return fh.read()
     except OSError as exc:
-        raise _Unreadable(f"cannot read {path}: {exc.strerror or exc}") from None
+        raise BatchError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def _lines(path: str) -> list[str]:
@@ -209,28 +206,35 @@ def _graph_output(cfg: RunConfig, index: int, payload: str, colouring: Optional[
         return _error_output(cfg, index, f"{type(exc).__name__}: {exc}", None)
 
 
+def _chunks(n: int, jobs: int) -> tuple[int, int]:
+    """The chunk size and the number of workers for n graphs at --jobs jobs;
+    no more workers start than there are chunks."""
+    size = -(-n // (4 * jobs)) or 1
+    return size, min(jobs, -(-n // size))
+
+
 def _outputs(cfg: RunConfig, payloads: list[str], colourings: list[str]) -> Iterator[Output]:
     """Each graph's output, in input order; verify checks graph i against
-    colourings[i], or None past the last line.  Above --jobs 1 a pool takes
-    contiguous chunks of ceil(n / (4 * jobs)) graphs: about four chunks per
-    worker keep the load even when slow graphs bunch together, yet cost few
-    round trips.  The pool forks every worker at its first submit, so it
-    starts at most one per chunk, and a batch that would start fewer than
-    two runs in this process.  A graph's text depends only on its line and
-    the config, so output does not depend on --jobs."""
+    colourings[i], or None past the last line.  Above --jobs 1 forked
+    workers are handed contiguous chunks of ceil(n / (4 * jobs)) graphs one
+    at a time: about four chunks per worker keep the load even when slow
+    graphs bunch together, yet cost few round trips.  A dead worker stops
+    the batch after the chunks before its own (see deltamin.workers).  A
+    batch that would start fewer than two workers, or that runs where
+    os.fork does not exist, runs in this process.  A graph's text depends
+    only on its line and the config, so output does not depend on --jobs."""
     run = functools.partial(_graph_output, cfg)
     n = len(payloads)
     columns = (range(n), payloads, colourings + [None] * (n - len(colourings)))
-    size = -(-n // (4 * cfg.jobs)) or 1
-    workers = min(cfg.jobs, -(-n // size))
-    if workers < 2:
+    size, workers = _chunks(n, cfg.jobs)
+    if workers < 2 or not hasattr(os, "fork"):
         yield from map(run, *columns)
         return
-    # imported here so that runs without a pool do not pay for it
-    from concurrent.futures import ProcessPoolExecutor
+    # imported here so that a batch without workers does not compile it
+    from .workers import fork_map
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(run, *columns, chunksize=size)
+    for chunk in fork_map(run, columns, size, workers):
+        yield from chunk
 
 
 def cmd_batch(cfg: RunConfig, colouring_path: Optional[str] = None, out: Optional[TextIO] = None) -> int:
@@ -239,23 +243,25 @@ def cmd_batch(cfg: RunConfig, colouring_path: Optional[str] = None, out: Optiona
     non-blank line, an edge-list file a single graph; verify checks each
     graph against the colouring line at its position in colouring_path,
     which may hold fewer lines than there are graphs but not more."""
-    # imported before the pool forks, so that workers do not import them again
+    # imported before the workers fork, so that they do not import them again
     if cfg.command != "verify":
         from . import solver  # noqa: F401
     if cfg.command != "solve":
         from . import structure  # noqa: F401
 
     if cfg.input_path == "-" and colouring_path == "-":
-        raise _Unreadable("graphs and colourings cannot both be read from standard input")
+        raise BatchError("graphs and colourings cannot both be read from standard input")
     path = cfg.input_path or "-"
     payloads = _lines(path) if cfg.format == "graph6" else [_read_text(path)]
     colourings = _lines(colouring_path) if colouring_path is not None else []
     if len(colourings) > len(payloads):
-        raise _Unreadable(f"{colouring_path} holds {len(colourings)} colourings for {len(payloads)} graphs")
+        raise BatchError(f"{colouring_path} holds {len(colourings)} colourings for {len(payloads)} graphs")
     out = out if out is not None else sys.stdout
     if cfg.output == "csv":
         out.write("name,n,m,s,method\n")
     status = 0
+    # the loop alone holds the outputs, so an exception that leaves it
+    # closes them at once, which stops and reaps any workers
     for index, (text, error, passed) in enumerate(_outputs(cfg, payloads, colourings)):
         out.write(text)
         if error is not None:
@@ -427,7 +433,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if cfg.command == "suite":
             return cmd_suite(cfg)
         return cmd_batch(cfg, colouring_path)
-    except _Unreadable as exc:
+    except BatchError as exc:
         print(f"deltamin {args.command}: {exc}", file=sys.stderr)
         return 2
 

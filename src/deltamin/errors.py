@@ -35,3 +35,10 @@ class ContractViolationError(DeltaMinError):
 
 class ResourceLimitError(DeltaMinError):
     """Raised when an enumeration would exceed its documented size guard."""
+
+
+class BatchError(DeltaMinError):
+    """Raised when a batch command cannot go on: an unreadable input (a
+    file, or standard input asked for twice), a colouring file with more
+    lines than graphs, or a worker that died before returning its graphs.
+    The command prints it as one line and exits 2."""

@@ -2,10 +2,13 @@
 
 import io
 import json
+import os
 import re
 import resource
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -177,7 +180,7 @@ def test_solve_dot_round_trip(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_solve_dot_matches_golden(capsys, jobs):
     # exact and heuristic graphs around a corrupt line; with --jobs 2 the
-    # edges come back from the pool workers instead of a second parse
+    # edges come back from the workers instead of a second parse
     path = str(GOLDEN / "solve_dot.g6")
     code, out, _ = run_main(["solve", path, "--out", "dot", "--jobs", jobs], capsys=capsys)
     assert code == 1  # the corrupt line
@@ -249,13 +252,13 @@ def _modules_loaded_by(*argvs):
 
 
 def test_solve_builds_no_pool_without_work(tmp_path):
-    # empty input and --jobs 1 never import the process pool; solve loads
+    # empty input and --jobs 1 never compile the workers module; solve loads
     # the solver but neither the structure layer nor the property checks
     empty = write(tmp_path, "empty.g6", "")
     one = write(tmp_path, "one.g6", "C~\n")
     loaded = _modules_loaded_by(["solve", empty, "--jobs", "2"], ["solve", one, "--jobs", "1"])
     assert "deltamin.solver" in loaded
-    assert not loaded & {"concurrent.futures", "deltamin.structure", "deltamin.checks"}
+    assert not loaded & {"deltamin.workers", "concurrent.futures", "deltamin.structure", "deltamin.checks"}
 
 
 @pytest.mark.parametrize("argv", [["--named", "k4"], ["--cubic", "6"], ["--random", "8"]], ids=lambda a: a[0])
@@ -263,7 +266,7 @@ def test_generate_loads_only_the_graph_codecs(argv):
     loaded = _modules_loaded_by(["generate", *argv])
     assert "deltamin.graphs" in loaded
     assert not loaded & {
-        "deltamin.colouring", "deltamin.solver", "deltamin.structure", "deltamin.checks",
+        "deltamin.colouring", "deltamin.solver", "deltamin.structure", "deltamin.checks", "deltamin.workers",
         "logging", "json", "dataclasses",
     }
 
@@ -279,36 +282,29 @@ def test_analyze_and_verify_load_the_structure_layer(tmp_path, command):
 @pytest.mark.parametrize("command", ["solve", "analyze", "verify"])
 def test_solving_commands_load_no_dataclasses(tmp_path, command):
     # the records are named tuples: dataclasses would bring inspect (with
-    # ast, dis and tokenize) into every start; two graphs and --jobs 2 also
-    # load the process pool
+    # ast, dis and tokenize) into every start; two graphs and --jobs 2 fork
+    # two workers without the standard library's process pools
     grf = write(tmp_path, "in.g6", "C~\n" + PETERSEN_G6 + "\n")
     col = write(tmp_path, "colours.jsonl", witness_line("C~") + "\n" + witness_line(PETERSEN_G6) + "\n")
     argv = [command, grf, "--jobs", "2"] + (["--colouring", col] if command == "verify" else [])
     loaded = _modules_loaded_by(argv)
-    assert "concurrent.futures" in loaded
-    assert not loaded & {"dataclasses", "inspect"}
+    assert "deltamin.workers" in loaded
+    assert not loaded & {"concurrent.futures", "multiprocessing", "dataclasses", "inspect"}
 
 
-# a pool that records the package modules loaded when it is built, which is
-# when the real one forks its workers, and maps in-process
-_RECORDING_POOL = """
-import concurrent.futures
+# an os.fork that records the package modules loaded at its first call and
+# then forks
+_RECORDING_FORK = """
+import os
 at_fork = []
+real_fork = os.fork
 
-class RecordingPool:
-    def __init__(self, max_workers):
+def recording_fork():
+    if not at_fork:
         at_fork.append(sorted(m for m in sys.modules if m.startswith("deltamin.")))
+    return real_fork()
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables, chunksize=1):
-        return map(fn, *iterables)
-
-concurrent.futures.ProcessPoolExecutor = RecordingPool
+os.fork = recording_fork
 """
 
 
@@ -324,7 +320,7 @@ def test_solving_modules_load_before_the_pool_forks(command, needed):
         argv += ["--colouring", str(GOLDEN / "verify_batch_colouring.jsonl")]
     script = (
         "import sys\n"
-        + _RECORDING_POOL
+        + _RECORDING_FORK
         + "from deltamin.cli import main\n"
         f"main({argv!r})\n"
         "assert len(at_fork) == 1\n"
@@ -335,38 +331,108 @@ def test_solving_modules_load_before_the_pool_forks(command, needed):
     assert needed <= set(proc.stdout.splitlines()[-1].split())
 
 
-@pytest.mark.parametrize("graphs, jobs, workers", [(2, 64, 2), (9, 2, 2)])
+@pytest.mark.parametrize("graphs, jobs, workers", [(2, 64, 2), (9, 2, 2), (9, 1, 0), (1, 2, 0)])
 def test_pool_starts_at_most_one_worker_per_chunk(tmp_path, capsys, monkeypatch, graphs, jobs, workers):
-    # the pool forks every worker at its first submit, so max_workers is the
-    # number of processes started; a fake pool records it and the chunk size
-    # (1 for 2 graphs at --jobs 64, 2 for 9 at --jobs 2), and maps in-process
-    import concurrent.futures
+    # one fork per worker, and one worker per chunk at most: 2 graphs at
+    # --jobs 64 come in chunks of 1, 9 at --jobs 2 in chunks of 2; a batch
+    # for one worker runs in this process and forks none
+    from deltamin import workers as workers_module
 
-    started = []
-    chunksizes = []
+    forks = []
+    real_fork = os.fork
 
-    class FakePool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
 
-        def __enter__(self):
-            return self
+    plans = []
+    real_fork_map = workers_module.fork_map
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables, chunksize=1):
-            chunksizes.append(chunksize)
-            return map(fn, *iterables)
+    def recording_fork_map(run, columns, size, workers):
+        plans.append((size, workers))
+        return real_fork_map(run, columns, size, workers)
 
     lines = (GOLDEN / "solve_batch.g6").read_text().splitlines()
     path = write(tmp_path, "in.g6", "".join(ln + "\n" for ln in lines[-graphs:]))
     _, serial, _ = run_main(["solve", path], capsys=capsys)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(workers_module, "fork_map", recording_fork_map)
     _, pooled, _ = run_main(["solve", path, "--jobs", str(jobs)], capsys=capsys)
-    assert started == [workers]
-    assert chunksizes == [-(-graphs // (4 * jobs))]
+    assert len(forks) == workers
+    assert plans == ([(-(-graphs // (4 * jobs)), workers)] if workers else [])
     assert pooled == serial
+
+
+def test_batch_runs_in_process_where_fork_is_missing():
+    # the same bytes as --jobs 1, and the workers module is never compiled
+    path = str(GOLDEN / "solve_batch.g6")
+    serial = subprocess.run(
+        [sys.executable, "-m", "deltamin", "solve", path, "--jobs", "1"], capture_output=True, text=True, timeout=60,
+    )
+    script = (
+        "import os, sys\n"
+        "del os.fork\n"
+        "from deltamin.cli import main\n"
+        f"status = main({['solve', path, '--jobs', '2']!r})\n"
+        "sys.stdout.flush()\n"
+        "assert 'deltamin.workers' not in sys.modules\n"
+        "sys.exit(status)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (serial.returncode, serial.stdout, serial.stderr)
+
+
+def _group_gone(pgid, limit_s=5.0):
+    """Whether process group pgid empties within limit_s seconds."""
+    end = time.monotonic() + limit_s
+    while True:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return True
+        if time.monotonic() > end:
+            return False
+        time.sleep(0.05)
+
+
+# runs solve with solver.solve_exact patched to end its process on Petersen
+_DYING_WORKER = """
+import os, sys
+from deltamin import solver
+from deltamin.cli import main_entry
+
+real = solver.solve_exact
+
+def solve(g):
+    if g.vertex_count == 10:
+        os._exit(3)
+    return real(g)
+
+solver.solve_exact = solve
+sys.argv = ["deltamin"] + sys.argv[1:]
+main_entry()
+"""
+
+
+def test_a_dying_worker_stops_the_batch_and_leaves_no_process(tmp_path):
+    # 9 graphs at --jobs 2 go in chunks of 2; the worker that takes Petersen
+    # (graph 4) dies with chunk 2, so chunks 0 and 1 still come out
+    lines = ["C~"] * 4 + [PETERSEN_G6, emit_graph6(make_named("k33"))] + ["C~"] * 3
+    path = write(tmp_path, "in.g6", "".join(ln + "\n" for ln in lines))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _DYING_WORKER, "solve", path, "--jobs", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.returncode is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert _group_gone(proc.pid)
+    assert proc.returncode == 2
+    assert err == "deltamin solve: the worker for graphs 4-5 exited with status 3 before returning them\n"
+    assert [json.loads(ln)["index"] for ln in out.splitlines()] == [0, 1, 2, 3]
 
 
 def test_solve_heuristic_above_exact_limit(tmp_path, capsys, monkeypatch):
@@ -778,15 +844,16 @@ def test_module_entry_point():
 ], ids=["solve-jobs1", "solve-jobs2", "generate"])
 def test_closed_output_pipe_stops_quietly(tmp_path, argv):
     # the reader takes one line and goes away while the command still has far
-    # more output than a pipe holds
+    # more output than a pipe holds; no worker outlives the command
     many = write(tmp_path, "many.g6", "".join(emit_graph6(random_subcubic(12, seed)) + "\n" for seed in range(3000)))
     proc = subprocess.Popen(
         [sys.executable, "-m", "deltamin", *(a.format(many=many) for a in argv)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
     )
     assert proc.stdout.readline()
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
+    assert _group_gone(proc.pid)
     assert proc.returncode == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
 

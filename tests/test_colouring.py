@@ -67,7 +67,7 @@ def reference_properize(c: EdgeColouring, branches: dict) -> EdgeColouring:
     while True:
         clash = None
         for v in range(c.graph.vertex_count):
-            deltas = sorted(eid for _, eid in c.graph.adjacency[v] if c.colours[eid] is D)
+            deltas = sorted(eid for _, eid in c.graph.adjacency[v] if c.colour_of(eid) is D)
             if len(deltas) >= 2:
                 clash = (v, deltas)
                 break
@@ -95,7 +95,7 @@ def reference_resolve_clash(c: EdgeColouring, u: int, deltas: list, branches: di
         branches["free"] = branches.get("free", 0) + 1
         return c.with_colours({e1: missing(other_end(e1), e1)[0]})
     third = next(eid for _, eid in g.adjacency[u] if eid not in (e1, e2))
-    x = c.colours[third]
+    x = c.colour_of(third)
     for eid in (e1, e2):
         for col in missing(other_end(eid), eid):
             if col is not x:
@@ -125,7 +125,7 @@ def reference_decompose(c: EdgeColouring, x: Colour, y: Colour) -> KempeDecompos
             incident[u].append(eid)
             incident[v].append(eid)
     for v, eids in enumerate(incident):
-        per = [c.colours[e] for e in eids]
+        per = [c.colour_of(e) for e in eids]
         if per.count(x) > 1 or per.count(y) > 1:
             raise DomainError(
                 f"restriction to {x.value},{y.value} is improper at vertex {v}"
@@ -210,7 +210,7 @@ def reference_classification(c: EdgeColouring) -> ColouringKind:
     for v in range(c.graph.vertex_count):
         counts: dict[Colour, int] = {}
         for _, eid in c.graph.adjacency[v]:
-            col = c.colours[eid]
+            col = c.colour_of(eid)
             counts[col] = counts.get(col, 0) + 1
         for col, k in counts.items():
             if k < 2:
@@ -231,8 +231,8 @@ def test_classification_matches_frozen_reference():
     for c in proper + improper:
         for e, (u, _) in enumerate(c.graph.edges):
             for _, f in c.graph.adjacency[u]:
-                if f != e and c.colours[f] is not D:
-                    clashing.append(c.with_colours({e: c.colours[f]}))
+                if f != e and c.colour_of(f) is not D:
+                    clashing.append(c.with_colours({e: c.colour_of(f)}))
     inputs = proper + improper + clashing + [EdgeColouring(Graph(n, []), []) for n in (0, 1, 5)]
     kinds = {kind: 0 for kind in ColouringKind}
     for c in inputs:

@@ -450,7 +450,7 @@ def reference_verify(c: EdgeColouring) -> VerificationReport:
     bad = []
     for e in delta_edges:
         for cls, cycle in found[e].items():
-            if len(cycle) % 2 == 0 or [x for x in cycle if c.colours[x] is D] != [e]:
+            if len(cycle) % 2 == 0 or [x for x in cycle if c.colour_of(x) is D] != [e]:
                 bad.append({"edge": e, "class": cls.value, "length": len(cycle)})
     clauses.append(clause("cycle_oddness", bad, "cycles"))
     bad = []
@@ -458,7 +458,7 @@ def reference_verify(c: EdgeColouring) -> VerificationReport:
         for cls, cycle in found[e].items():
             verts = cycle_vertices(cycle)
             for eid, (a, b) in enumerate(g.edges):
-                if (a in verts) != (b in verts) and c.colours[eid] is not cls.external_colour:
+                if (a in verts) != (b in verts) and c.colour_of(eid) is not cls.external_colour:
                     bad.append({"edge": e, "class": cls.value, "external": eid})
     clauses.append(clause("external_edge_colour", bad, "edges"))
     bad = []
@@ -734,7 +734,7 @@ def reference_shift(c: EdgeColouring, cl, e: int, cls: DeltaClass, e_target: int
     result = c
     for pos in range(1, cycle.index(e_target) + 1):
         prev_e, cur_e = cycle[pos - 1], cycle[pos]
-        result = result.with_colours({prev_e: result.colours[cur_e], cur_e: result.colours[prev_e]})
+        result = result.with_colours({prev_e: result.colour_of(cur_e), cur_e: result.colour_of(prev_e)})
         if result.classification() is not ColouringKind.PROPER:
             raise ContractViolationError(
                 f"shift step onto edge {cur_e} broke properness; "
@@ -744,7 +744,7 @@ def reference_shift(c: EdgeColouring, cl, e: int, cls: DeltaClass, e_target: int
         raise ContractViolationError("shift changed delta edges other than e/e_target")
     on_cycle = set(cycle)
     for eid in range(c.graph.edge_count):
-        if eid not in on_cycle and c.colours[eid] is not result.colours[eid]:
+        if eid not in on_cycle and c.colour_of(eid) is not result.colour_of(eid):
             raise ContractViolationError("shift touched an edge off the cycle")
     joined = _joining_cycle(ColourTable(result), e_target, cls)
     if joined is None or set(joined) != on_cycle:
