@@ -7,11 +7,15 @@ var DELTAMIN_LOG sets log verbosity (DEBUG, INFO, ...).
 
 solve, analyze and verify share one entry, cmd_batch, which maps one
 per-graph function over the input, in this process or, with --jobs, in
-workers forked with os.fork that take chunks of graphs one at a time; a
-dead worker stops the batch (exit 2), and without os.fork the batch runs
-here.  Before the workers fork it imports the solver unless it verifies,
-and the structure layer unless it solves; generate starts without either,
-and only suite loads the property checks.
+workers forked with os.fork that are sent chunks of graphs one at a time;
+a dead worker stops the batch (exit 2), and without os.fork the batch runs
+here.  A graph6 file is counted first, so that the chunk size and verify's
+check for surplus colourings come before any output, and is then read
+line by line as its graphs are run, so memory does not grow with its
+length; standard input and FIFOs are read whole.  Before the workers fork
+cmd_batch imports the solver unless it verifies, and the structure layer
+unless it solves; generate starts without either, and only suite loads
+the property checks.
 
 All records are emitted in input order with sorted keys, so output is
 byte-stable for a fixed (input, config, seed).
@@ -20,9 +24,12 @@ byte-stable for a fixed (input, config, seed).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import os
 import random
+import stat
 import sys
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, TextIO
 
@@ -96,10 +103,70 @@ def _read_text(path: str) -> str:
         raise BatchError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def _lines(path: str) -> list[str]:
-    """The non-blank lines of a file, or of standard input for "-"."""
-    text = _read_text(path)
-    return [ln for ln in text.splitlines() if ln.strip()]
+def _nonblank(pieces: Iterable[str]) -> Iterator[str]:
+    """The non-blank lines of a text given in pieces that each end at a line
+    boundary, as str.splitlines splits the text."""
+    for piece in pieces:
+        for line in piece.splitlines():
+            if line.strip():
+                yield line
+
+
+class _Lines:
+    """The non-blank lines of a file, or of standard input for "-", decoded
+    as _read_text decodes it and split as str.splitlines splits it.  Their
+    number, len(), is known before the first is read: a regular file is read
+    once to count them and again, line by line, as they are used; standard
+    input and files that cannot be read twice (a FIFO) are read whole.  A
+    regular file whose count changes in between stops the batch."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self._file: Optional[TextIO] = None
+        self._held: Optional[list[str]] = None
+        if path == "-":
+            self._held = list(_nonblank([_read_text(path)]))
+            self._count = len(self._held)
+            return
+        try:
+            # with newline="" a piece ends at "\n", "\r" or "\r\n", never
+            # between "\r" and "\n"
+            self._file = open(path, encoding="utf-8", errors="surrogateescape", newline="")
+            if stat.S_ISREG(os.fstat(self._file.fileno()).st_mode):
+                self._count = sum(1 for _ in _nonblank(self._file))
+                self._file.seek(0)
+            else:
+                self._held = list(_nonblank(self._file))
+                self._count = len(self._held)
+        except OSError as exc:
+            self.close()
+            raise BatchError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[str]:
+        if self._held is not None:
+            yield from self._held
+            return
+        read = 0
+        for line in _nonblank(self._file):
+            read += 1
+            if read > self._count:
+                break
+            yield line
+        if read != self._count:
+            raise BatchError(f"{self.path} changed while it was read ({self._count} lines when counted)")
+
+    def close(self) -> None:
+        if self._file is not None:
+            self._file.close()
+
+    def __enter__(self) -> _Lines:
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +273,16 @@ def _graph_output(cfg: RunConfig, index: int, payload: str, colouring: Optional[
         return _error_output(cfg, index, f"{type(exc).__name__}: {exc}", None)
 
 
+# A chunk for a worker closes at this much input text (graph6 is ASCII, so
+# bytes), even short of its graph count.  64 KiB, one pipe buffer, is the
+# text of one graph of about 900 vertices, whose parse and solve outweigh a
+# chunk's round trip (a pickle, a pipe write, a select wake-up: tens of
+# microseconds) many times over; a chunk of thousands of small graphs stays
+# under it.  The input text held at once is then at most the window of
+# 2 * workers chunks times (64 KiB + the longest line).
+_CHUNK_TEXT = 1 << 16
+
+
 def _chunks(n: int, jobs: int) -> tuple[int, int]:
     """The chunk size and the number of workers for n graphs at --jobs jobs;
     no more workers start than there are chunks."""
@@ -213,27 +290,48 @@ def _chunks(n: int, jobs: int) -> tuple[int, int]:
     return size, min(jobs, -(-n // size))
 
 
-def _outputs(cfg: RunConfig, payloads: list[str], colourings: list[str]) -> Iterator[Output]:
-    """Each graph's output, in input order; verify checks graph i against
-    colourings[i], or None past the last line.  Above --jobs 1 forked
-    workers are handed contiguous chunks of ceil(n / (4 * jobs)) graphs one
-    at a time: about four chunks per worker keep the load even when slow
-    graphs bunch together, yet cost few round trips.  A dead worker stops
-    the batch after the chunks before its own (see deltamin.workers).  A
-    batch that would start fewer than two workers, or that runs where
-    os.fork does not exist, runs in this process.  A graph's text depends
-    only on its line and the config, so output does not depend on --jobs."""
+def _chunked(rows: Iterator[tuple], size: int) -> Iterator[list[tuple]]:
+    """The rows in lists of size rows, each closed early once the text of
+    its graphs and colourings reaches _CHUNK_TEXT; a row is read only when
+    the next list is asked for."""
+    chunk: list[tuple] = []
+    text = 0
+    for row in rows:
+        chunk.append(row)
+        text += len(row[1]) + len(row[2] or "")
+        if len(chunk) == size or text >= _CHUNK_TEXT:
+            yield chunk
+            chunk, text = [], 0
+    if chunk:
+        yield chunk
+
+
+def _outputs(cfg: RunConfig, graphs: _Lines | list[str], colourings: _Lines | list[str]) -> Iterator[Output]:
+    """Each graph's output, in input order; verify checks the i-th graph
+    against the i-th colouring, or None past the last.  Above --jobs 1
+    forked workers are handed contiguous chunks of ceil(n / (4 * jobs))
+    graphs (fewer when their text reaches _CHUNK_TEXT) one at a time: about
+    four chunks per worker keep the load even when slow graphs bunch
+    together, yet cost few round trips.  A chunk's lines are read from the
+    input only when a worker takes it (see deltamin.workers), and in this
+    process each line only when its graph is run, so the input held does
+    not grow with its length.  A dead worker stops the batch after the
+    chunks before its own.  A batch that would start fewer than two
+    workers, or that runs where os.fork does not exist, runs in this
+    process.  A graph's text depends only on its line and the config, so
+    output does not depend on --jobs."""
     run = functools.partial(_graph_output, cfg)
-    n = len(payloads)
-    columns = (range(n), payloads, colourings + [None] * (n - len(colourings)))
-    size, workers = _chunks(n, cfg.jobs)
+    # zip_longest reads both inputs to their end, where _Lines checks its count
+    pairs = itertools.zip_longest(graphs, colourings)
+    rows = ((index, graph, colouring) for index, (graph, colouring) in enumerate(pairs))
+    size, workers = _chunks(len(graphs), cfg.jobs)
     if workers < 2 or not hasattr(os, "fork"):
-        yield from map(run, *columns)
+        yield from itertools.starmap(run, rows)
         return
     # imported here so that a batch without workers does not compile it
     from .workers import fork_map
 
-    for chunk in fork_map(run, columns, size, workers):
+    for chunk in fork_map(run, _chunked(rows, size), workers):
         yield from chunk
 
 
@@ -252,22 +350,23 @@ def cmd_batch(cfg: RunConfig, colouring_path: Optional[str] = None, out: Optiona
     if cfg.input_path == "-" and colouring_path == "-":
         raise BatchError("graphs and colourings cannot both be read from standard input")
     path = cfg.input_path or "-"
-    payloads = _lines(path) if cfg.format == "graph6" else [_read_text(path)]
-    colourings = _lines(colouring_path) if colouring_path is not None else []
-    if len(colourings) > len(payloads):
-        raise BatchError(f"{colouring_path} holds {len(colourings)} colourings for {len(payloads)} graphs")
-    out = out if out is not None else sys.stdout
-    if cfg.output == "csv":
-        out.write("name,n,m,s,method\n")
-    status = 0
-    # the loop alone holds the outputs, so an exception that leaves it
-    # closes them at once, which stops and reaps any workers
-    for index, (text, error, passed) in enumerate(_outputs(cfg, payloads, colourings)):
-        out.write(text)
-        if error is not None:
-            _log().error("graph %d: %s", index, error)
-        if not passed:
-            status = 1
+    with contextlib.ExitStack() as inputs:
+        graphs = inputs.enter_context(_Lines(path)) if cfg.format == "graph6" else [_read_text(path)]
+        colourings = inputs.enter_context(_Lines(colouring_path)) if colouring_path is not None else []
+        if len(colourings) > len(graphs):
+            raise BatchError(f"{colouring_path} holds {len(colourings)} colourings for {len(graphs)} graphs")
+        out = out if out is not None else sys.stdout
+        if cfg.output == "csv":
+            out.write("name,n,m,s,method\n")
+        status = 0
+        # the loop alone holds the outputs, so an exception that leaves it
+        # closes them at once, which stops and reaps any workers
+        for index, (text, error, passed) in enumerate(_outputs(cfg, graphs, colourings)):
+            out.write(text)
+            if error is not None:
+                _log().error("graph %d: %s", index, error)
+            if not passed:
+                status = 1
     return status
 
 

@@ -17,9 +17,8 @@ from .errors import DomainError, GraphFormatError
 MAX_DEGREE = 3
 
 _G6_HEADER = ">>graph6<<"
-_G6_RANGE = bytes(range(63, 127))
-# the first byte outside _G6_RANGE, looked for only once translate finds one
-_G6_OUT_OF_RANGE = re.compile(rb"[^\x3f-\x7e]")
+# the longest prefix of bytes in graph6's range, 63 to 126
+_G6_IN_RANGE = re.compile(rb"[\x3f-\x7e]*")
 _G6_NONZERO_GROUP = re.compile(rb"[^?]")
 # 6-bit group -> offsets of its set bits, 0 being the high bit
 _G6_SET_BITS = [
@@ -44,19 +43,24 @@ class Graph:
         normalised: list[tuple[int, int]] = []
         adjacency: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
         edge_ids: dict[tuple[int, int], int] = {}
-        for u, v in edges:
+        for edge in edges:
+            u, v = edge
             if not (0 <= u < vertex_count) or not (0 <= v < vertex_count):
                 raise DomainError(
                     f"edge ({u}, {v}) out of range for {vertex_count} vertices"
                 )
             if u == v:
                 raise DomainError(f"self-loop at vertex {u}")
+            # a normalised tuple is kept as given, not copied
             if u > v:
                 u, v = v, u
-            key, eid = (u, v), len(normalised)
-            if edge_ids.setdefault(key, eid) != eid:
+                edge = (u, v)
+            elif type(edge) is not tuple:
+                edge = (u, v)
+            eid = len(normalised)
+            if edge_ids.setdefault(edge, eid) != eid:
                 raise DomainError(f"duplicate edge ({u}, {v})")
-            normalised.append(key)
+            normalised.append(edge)
             adjacency[u].append((v, eid))
             adjacency[v].append((u, eid))
         for vertex, nbrs in enumerate(adjacency):
@@ -133,6 +137,8 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         """Same vertex count and same edge set.  Edge ids are positional and
         may differ between equal graphs; colourings compare stricter."""
+        if self is other:
+            return True
         return (
             isinstance(other, Graph)
             and self.vertex_count == other.vertex_count
@@ -207,8 +213,8 @@ def parse_graph6(text: str) -> Graph:
     the encoded graph has a vertex of degree above three.
     """
     data = _g6_payload(text)
-    if data.translate(None, _G6_RANGE):
-        pos = _G6_OUT_OF_RANGE.search(data).start()
+    pos = _G6_IN_RANGE.match(data).end()
+    if pos < len(data):
         raise GraphFormatError(f"byte {data[pos]} outside graph6 range", pos)
     n, start = _g6_read_size(data)
     nbits = n * (n - 1) // 2

@@ -1,20 +1,26 @@
 """Forked workers for the batch commands.
 
-fork_map maps a function over the rows of some equal-length columns in
-child processes started with os.fork (POSIX only), and yields the results
-of each contiguous chunk of rows in input order.  Each worker has two
-pipes to the parent.  On one the parent writes the index of the worker's
-next chunk whenever the worker hands a chunk back, so slow rows that bunch
-in one chunk hold up one worker, not the others.  On the other the worker
-writes each chunk's result list, pickled and length-prefixed; the parent
-waits on these pipes with select.  A worker leaves only through os._exit:
-with status 0 when its task pipe closes, with 1 at any exception.
+fork_map maps a function over rows that come in chunks, in child processes
+started with os.fork (POSIX only), and yields each chunk's results in input
+order.  Each worker has two pipes to the parent.  On one the parent writes
+the rows of the worker's next chunk whenever the worker hands a chunk back,
+so slow rows that bunch in one chunk hold up one worker, not the others.
+On the other the worker writes each chunk's result list.  Both are pickled
+and length-prefixed; the parent waits on the result pipes with select.
+
+A chunk is drawn from its iterator only when it is handed out, only to an
+idle worker, and only while fewer than 2 * workers chunks are out and not
+yet yielded, so the rows and results held at once do not grow with the
+input.  An idle worker is waiting on its task pipe, so a task write never
+waits on a worker that is busy writing results.  A worker leaves only
+through os._exit: with status 0 when its task pipe closes, with 1 at any
+exception.
 
 A worker that dies before handing back its chunk stops the batch with a
 BatchError naming that chunk's graphs, once every earlier chunk has been
 yielded.  However the batch ends (done, its reader gone, interrupted, a
-worker lost), one finally closes every pipe, kills the workers still at
-work and reaps them all.
+worker lost, its input failing), one finally closes every pipe, kills the
+workers still at work and reaps them all.
 """
 
 from __future__ import annotations
@@ -24,25 +30,26 @@ import pickle
 import select
 import signal
 import sys
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import BatchError
 
-_INDEX_BYTES = 4  # a chunk index on a task pipe
-_LENGTH_BYTES = 8  # the length prefix of a pickled chunk on a result pipe
+_LENGTH_BYTES = 8  # the length prefix of a pickled message on either pipe
 
 
 class _Worker:
     """A forked worker: its pid (None once reaped), the parent's end of its
-    task and result pipes, and the chunk it holds (None when idle)."""
+    task and result pipes, the chunk it holds (None when idle) and the
+    first and last row of that chunk."""
 
-    __slots__ = ("pid", "tasks", "results", "chunk")
+    __slots__ = ("pid", "tasks", "results", "chunk", "rows")
 
     def __init__(self, pid: int, tasks: int, results: int) -> None:
         self.pid: Optional[int] = pid
         self.tasks = tasks
         self.results = results
         self.chunk: Optional[int] = None
+        self.rows = (0, 0)
 
 
 def _read(fd: int, n: int) -> Optional[bytes]:
@@ -63,16 +70,27 @@ def _write(fd: int, data: bytes) -> None:
         view = view[os.write(fd, view):]
 
 
-def _serve(run: Callable, columns: Sequence[Sequence], size: int, tasks: int, results: int) -> None:
-    """A worker's loop: map run over each chunk it is handed, until its task
-    pipe closes."""
-    while (index := _read(tasks, _INDEX_BYTES)) is not None:
-        start = int.from_bytes(index, "little") * size
-        data = pickle.dumps(list(map(run, *(c[start:start + size] for c in columns))), pickle.HIGHEST_PROTOCOL)
-        _write(results, len(data).to_bytes(_LENGTH_BYTES, "little") + data)
+def _send(fd: int, obj: list) -> None:
+    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    _write(fd, len(data).to_bytes(_LENGTH_BYTES, "little"))
+    _write(fd, data)
 
 
-def _fork(run: Callable, columns: Sequence[Sequence], size: int, pool: list[_Worker]) -> None:
+def _receive(fd: int) -> Optional[list]:
+    """The next list _send wrote to fd, or None if fd closes before it."""
+    head = _read(fd, _LENGTH_BYTES)
+    data = None if head is None else _read(fd, int.from_bytes(head, "little"))
+    return None if data is None else pickle.loads(data)
+
+
+def _serve(run: Callable, tasks: int, results: int) -> None:
+    """A worker's loop: map run over the rows of each chunk it is handed,
+    until its task pipe closes."""
+    while (rows := _receive(tasks)) is not None:
+        _send(results, [run(*row) for row in rows])
+
+
+def _fork(run: Callable, pool: list[_Worker]) -> None:
     """Start one worker and add it to pool."""
     tasks_r, tasks_w = os.pipe()
     results_r, results_w = os.pipe()
@@ -89,7 +107,7 @@ def _fork(run: Callable, columns: Sequence[Sequence], size: int, pool: list[_Wor
             # from ever reading the end of its tasks
             for fd in (tasks_w, results_r, *(fd for w in pool for fd in (w.tasks, w.results))):
                 os.close(fd)
-            _serve(run, columns, size, tasks_r, results_w)
+            _serve(run, tasks_r, results_w)
             status = 0
         finally:
             os._exit(status)
@@ -98,63 +116,76 @@ def _fork(run: Callable, columns: Sequence[Sequence], size: int, pool: list[_Wor
     pool.append(_Worker(pid, tasks_w, results_r))
 
 
-def _lost(w: _Worker, n: int, size: int) -> str:
+def _lost(w: _Worker) -> str:
     """Reap a worker that has gone with its chunk and say what it lost."""
     _, status = os.waitpid(w.pid, 0)
     w.pid = None
     code = os.waitstatus_to_exitcode(status)
-    first, last = w.chunk * size, min(n, (w.chunk + 1) * size) - 1
+    first, last = w.rows
     graphs = f"graph {first}" if first == last else f"graphs {first}-{last}"
     how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
     return f"the worker for {graphs} {how} before returning them"
 
 
-def fork_map(run: Callable, columns: Sequence[Sequence], size: int, workers: int) -> Iterator[list]:
-    """The results of run over the rows of columns, one list per chunk of
-    size rows, in order, computed by the given number of forked workers."""
-    n = len(columns[0])
-    chunks = -(-n // size)
+def fork_map(run: Callable, chunks: Iterable[list[tuple]], workers: int) -> Iterator[list]:
+    """The results of run(*row) over the rows of each chunk, one list per
+    chunk, in order, computed by the given number of forked workers."""
+    todo = iter(chunks)
+    window = 2 * workers
     handed = 0  # chunks handed out so far, always the first ones
+    yielded = 0  # chunks yielded so far
+    rows = 0  # rows handed out so far
     done: dict[int, list] = {}
     lost: dict[int, str] = {}  # chunk -> why, for chunks no worker returned
+    pool: list[_Worker] = []
 
-    def hand_out(w: _Worker) -> None:
-        nonlocal handed
-        w.chunk = None
-        if handed == chunks or lost:  # after a loss only earlier chunks matter
-            return
-        w.chunk, handed = handed, handed + 1
-        try:
-            _write(w.tasks, w.chunk.to_bytes(_INDEX_BYTES, "little"))
-        except BrokenPipeError:
-            lost[w.chunk] = _lost(w, n, size)
-            w.chunk = None
+    def hand_out() -> None:
+        """Give each idle worker its next chunk while the window allows;
+        after a loss only earlier chunks matter."""
+        nonlocal handed, rows
+        for w in pool:
+            if w.pid is None or w.chunk is not None:
+                continue
+            if lost or handed - yielded == window:
+                return
+            chunk = next(todo, None)
+            if chunk is None:
+                return
+            w.chunk, w.rows = handed, (rows, rows + len(chunk) - 1)
+            handed += 1
+            rows += len(chunk)
+            try:
+                _send(w.tasks, chunk)
+            except BrokenPipeError:
+                lost[w.chunk] = _lost(w)
+                w.chunk = None
 
     sys.stdout.flush()
     sys.stderr.flush()
-    pool: list[_Worker] = []
     try:
         for _ in range(workers):
-            _fork(run, columns, size, pool)
-        for w in pool:
-            hand_out(w)
-        for chunk in range(chunks):
+            _fork(run, pool)
+        while True:
+            hand_out()
+            if yielded == handed:  # the chunks have run out
+                return
             # every chunk below handed is done, lost or held by a live worker
-            while chunk not in done:
-                if chunk in lost:
-                    raise BatchError(lost[chunk])
+            while yielded not in done:
+                if yielded in lost:
+                    raise BatchError(lost[yielded])
                 busy = {w.results: w for w in pool if w.chunk is not None}
                 for fd in select.select(list(busy), [], [])[0]:
                     w = busy[fd]
-                    head = _read(fd, _LENGTH_BYTES)
-                    data = None if head is None else _read(fd, int.from_bytes(head, "little"))
-                    if data is None:
-                        lost[w.chunk] = _lost(w, n, size)
-                        w.chunk = None
+                    result = _receive(fd)
+                    if result is None:
+                        lost[w.chunk] = _lost(w)
                     else:
-                        done[w.chunk] = pickle.loads(data)
-                        hand_out(w)
-            yield done.pop(chunk)
+                        done[w.chunk] = result
+                    w.chunk = None
+                hand_out()
+            result = done.pop(yielded)
+            yielded += 1
+            yield result
     finally:
         for w in pool:
             os.close(w.tasks)  # an idle worker reads the end of its tasks and exits

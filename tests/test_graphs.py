@@ -74,6 +74,21 @@ def test_graph_edges_normalized_and_order_insensitive_equality():
     assert a != Graph(4, [(0, 1), (1, 2)])  # extra isolated vertex
 
 
+def test_graph_keeps_normalised_edge_tuples_and_copies_the_rest():
+    given = [(0, 1), (2, 1), [2, 3]]
+    g = Graph(4, given)
+    assert g.edges == ((0, 1), (1, 2), (2, 3))
+    assert g.edges[0] is given[0]
+    assert all(type(e) is tuple for e in g.edges)
+    assert g.edge_id(3, 2) == 2
+
+
+def test_graph_equals_itself_without_comparing_edges():
+    g = make_named("petersen")
+    g._edge_ids = None  # any comparison of edge keys would now raise
+    assert g == g
+
+
 def test_graph_rejects_bad_input():
     with pytest.raises(DomainError):
         Graph(3, [(0, 3)])  # out of range
