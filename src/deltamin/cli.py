@@ -8,14 +8,14 @@ var DELTAMIN_LOG sets log verbosity (DEBUG, INFO, ...).
 solve, analyze and verify share one entry, cmd_batch, which maps one
 per-graph function over the input, in this process or, with --jobs, in
 workers forked with os.fork that are sent chunks of graphs one at a time;
-a dead worker stops the batch (exit 2), and without os.fork the batch runs
-here.  A graph6 file is counted first, so that the chunk size and verify's
-check for surplus colourings come before any output, and is then read
-line by line as its graphs are run, so memory does not grow with its
-length; standard input and FIFOs are read whole.  Before the workers fork
-cmd_batch imports the solver unless it verifies, and the structure layer
-unless it solves; generate starts without either, and only suite loads
-the property checks.
+a dead worker, or one that cannot be forked, stops the batch (exit 2), and
+without os.fork the batch runs here.  A graph6 file is counted first, so
+that the chunk size and verify's check for surplus colourings come before
+any output, and is then read line by line as its graphs are run, so
+memory does not grow with its length; standard input and FIFOs are read
+whole.  Before the workers fork cmd_batch imports the solver unless it
+verifies, and the structure layer unless it solves; generate starts
+without either, and only suite loads the property checks.
 
 All records are emitted in input order with sorted keys, so output is
 byte-stable for a fixed (input, config, seed).
@@ -381,6 +381,10 @@ def cmd_generate(args: argparse.Namespace, out: Optional[TextIO] = None) -> int:
     emitted: Iterable[Graph]
     try:
         if args.named is not None:
+            # cycle k has k vertices, flower k has 4k, the fixed graphs few
+            n = {"cycle": 1, "flower": 4}.get(args.named.strip().lower(), 0) * (args.size or 0)
+            if n > 258047:
+                raise DomainError(f"graph6 encodes at most 258047 vertices, not {n}")
             emitted = [make_named(args.named, args.size)]
         elif args.cubic is not None:
             emitted = enumerate_cubic(args.cubic)
@@ -389,6 +393,8 @@ def cmd_generate(args: argparse.Namespace, out: Optional[TextIO] = None) -> int:
                 raise DomainError("--count must be non-negative")
             if args.random < 1:
                 raise DomainError("need at least one vertex")
+            if args.random > 258047:
+                raise DomainError(f"graph6 encodes at most 258047 vertices, not {args.random}")
             rng = random.Random(f"generate:{args.seed}")
             emitted = (
                 random_subcubic(args.random, rng.randrange(2**31))

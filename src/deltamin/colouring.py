@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import json
+from bisect import insort
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import ContractViolationError, DomainError
@@ -99,17 +100,12 @@ class EdgeColouring:
         return [_COLOUR_OF[self.codes[eid]] for _, eid in self.graph.adjacency[v] if eid != skip]
 
     def classification(self) -> ColouringKind:
-        """Proper, delta-improper (clashes at delta only), or invalid.
-
-        A colour clashes exactly when its class is not a matching, that is
-        when some vertex repeats in the list of its edges' endpoints."""
-        ends: dict[str, list[int]] = {k: [] for k in CODES}
-        for e, k in zip(self.graph.edges, self.codes):
-            ends[k].extend(e)
-        clashing = [k for k, touched in ends.items() if len(touched) > len(set(touched))]
-        if not clashing:
-            return ColouringKind.PROPER
-        return ColouringKind.DELTA_IMPROPER if clashing == ["d"] else ColouringKind.INVALID
+        """Proper, delta-improper (clashes at delta only), or invalid, by
+        ColourTable's clash rule."""
+        try:
+            return ColouringKind.DELTA_IMPROPER if ColourTable(self).deltas_meet() else ColouringKind.PROPER
+        except DomainError:
+            return ColouringKind.INVALID
 
     def with_colours(self, changes: Mapping[int, Colour]) -> "EdgeColouring":
         """A copy with the given edges recoloured."""
@@ -291,16 +287,18 @@ def kempe_swap(c: EdgeColouring, d: KempeDecomposition, index: int) -> EdgeColou
 class ColourTable:
     """A delta-improper colouring held for in-place Kempe moves, so that a
     move costs the edges it touches rather than a copy of the colouring.
+    The one clash rule: the build refuses a clash off delta (DomainError),
+    and deltas_meet tells whether delta clashes.
 
     A colour's code is its letter's index in CODES (delta is 3).  code[e] is
     edge e's code; at[3 * v + k] is the edge of code k < 3 at vertex v, or
-    -1 (only delta may clash, so there is at most one); deltas is the set
-    of delta edges.  Chains are walked over code, a step costing a look at
-    each incident edge of the vertex reached.  For a pair that includes
-    delta, delta must be a matching at the vertices such a chain reaches
-    (the descent's plateau meets this, as it runs on a proper colouring);
-    otherwise a walk may enter a loop that misses its start, and raises
-    DomainError once it has stepped along every edge direction.
+    -1; deltas lists the delta edges, ascending, as recolour keeps them.
+    Chains are walked over code, a step costing a look at each incident
+    edge of the vertex reached.  For a pair that includes delta, delta must
+    be a matching at the vertices such a chain reaches (the descent's
+    plateau meets this, as it runs on a proper colouring); otherwise a walk
+    may enter a loop that misses its start, and raises DomainError once it
+    has stepped along every edge direction.
     """
 
     __slots__ = ("graph", "code", "at", "deltas")
@@ -310,7 +308,7 @@ class ColourTable:
         self.graph = g
         self.code = list(c.codes.encode().translate(_TO_TABLE))
         self.at = [-1] * (3 * g.vertex_count)
-        self.deltas = {e for e, k in enumerate(self.code) if k == 3}
+        self.deltas = [e for e, k in enumerate(self.code) if k == 3]
         for e, (a, b) in enumerate(g.edges):
             k = self.code[e]
             if k == 3:
@@ -325,6 +323,10 @@ class ColourTable:
         as a snapshot tuple(self.code)."""
         return EdgeColouring(self.graph, bytes(codes).translate(_TO_LETTER).decode())
 
+    def deltas_meet(self) -> bool:
+        """Whether two delta edges share a vertex, in O(s)."""
+        return len({v for f in self.deltas for v in self.graph.edges[f]}) < 2 * len(self.deltas)
+
     def free(self, v: int) -> list[int]:
         """The codes below 3 that no edge at v has, ascending."""
         at, base = self.at, 3 * v
@@ -338,14 +340,14 @@ class ColourTable:
         for e in changes:
             k = code[e]
             if k == 3:
-                deltas.discard(e)
+                deltas.remove(e)
             else:
                 a, b = ends[e]
                 at[3 * a + k] = at[3 * b + k] = -1
         for e, k in changes.items():
             code[e] = k
             if k == 3:
-                deltas.add(e)
+                insort(deltas, e)
             else:
                 a, b = ends[e]
                 at[3 * a + k] = at[3 * b + k] = e

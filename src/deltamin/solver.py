@@ -735,7 +735,7 @@ def _reduce_once(t: ColourTable) -> bool:
     pair's kempe_decompose.
     """
     at = t.at
-    for e in sorted(t.deltas):
+    for e in t.deltas:
         u, v = t.graph.edges[e]
         u3, v3 = 3 * u, 3 * v
         for k in range(3):
@@ -770,13 +770,13 @@ def heuristic_descent(g: Graph, seed: int = 0, max_rounds: int = 64) -> SolveRes
     each, a direct recolour with alpha, beta, then gamma, then a Kempe path
     swap on the pairs (alpha, beta), (alpha, gamma), (beta, gamma).  A round
     with none (a plateau) swaps a seeded random component of a random pair
-    of the four colours, which may add delta edges.  The best colouring
-    seen wins.  Deterministic for fixed (g, seed, max_rounds).
+    of the four colours, which may add delta edges.  The first colouring to
+    reach the lowest count wins.  Deterministic for fixed (g, seed, max_rounds).
 
-    The rounds run on a ColourTable: an improving round costs a sort of the
-    delta edges and the edges it looks at and moves (plus a copy of the
-    codes when it sets a new best), a plateau round one pass over the
-    edges and one walk of each of the pair's chains to list them.
+    The rounds run on a ColourTable, which keeps the delta edges ascending:
+    an improving round costs the edges it looks at and moves, a plateau
+    round one pass over the edges, a walk of each of the pair's chains, and
+    a copy of the codes if its swap leaves the best state.
     """
     if max_rounds < 0:
         raise DomainError("max_rounds must be non-negative")
@@ -789,7 +789,8 @@ def heuristic_descent(g: Graph, seed: int = 0, max_rounds: int = 64) -> SolveRes
         start = properize(_greedy_improper(g))
         method = Method.HEURISTIC_UPPER_BOUND
     table = ColourTable(start)
-    best, best_count = tuple(table.code), len(table.deltas)
+    # saved is None while the table holds the best state, else a copy of it
+    best_count, saved = len(table.deltas), None
     for _ in range(max_rounds):
         if best_count == 0:
             break
@@ -800,9 +801,11 @@ def heuristic_descent(g: Graph, seed: int = 0, max_rounds: int = 64) -> SolveRes
             components = table.components(x, y)
             if not components:
                 continue
+            if saved is None:
+                saved = tuple(table.code)
             table.swap(components[rng.randrange(len(components))][2], x, y)
         if len(table.deltas) < best_count:
-            best, best_count = tuple(table.code), len(table.deltas)
-    witness = table.colouring(best)
+            best_count, saved = len(table.deltas), None
+    witness = table.colouring(table.code if saved is None else saved)
     assert witness.classification() is ColouringKind.PROPER
     return SolveResult(best_count, witness, method)

@@ -65,11 +65,6 @@ def _joining_cycle(t: ColourTable, e: int, cls: DeltaClass) -> Optional[tuple[in
     return (e,) + tuple(path) if far == v else None
 
 
-def _deltas_meet(t: ColourTable) -> bool:
-    """Whether two delta edges of the table share a vertex, in O(s)."""
-    return len({v for f in t.deltas for v in t.graph.edges[f]}) < 2 * len(t.deltas)
-
-
 def _proper_table(c: EdgeColouring, refusal: str) -> ColourTable:
     """c's ColourTable, whose build refuses a non-delta clash, once its delta
     class is a matching; DomainError(refusal) when c is not proper."""
@@ -77,7 +72,7 @@ def _proper_table(c: EdgeColouring, refusal: str) -> ColourTable:
         t = ColourTable(c)
     except DomainError:
         raise DomainError(refusal) from None
-    if _deltas_meet(t):
+    if t.deltas_meet():
         raise DomainError(refusal)
     return t
 
@@ -89,7 +84,7 @@ def _memberships_lenient(
     joining-path criterion alone.  No parity filtering and no exception on
     an empty result; the verifier clauses judge what is recorded here."""
     found: dict[int, dict[DeltaClass, tuple[int, ...]]] = {}
-    for e in sorted(t.deltas):
+    for e in t.deltas:
         per_class = {}
         for cls in DeltaClass:
             cycle = _joining_cycle(t, e, cls)
@@ -169,7 +164,7 @@ def shift_delta(
     ends, adjacency, code = c.graph.edges, c.graph.adjacency, t.code
     # the steps look only around the edge taking delta, so the rest of the
     # delta class must be a matching already
-    if _deltas_meet(t):
+    if t.deltas_meet():
         raise DomainError("shift needs a proper colouring: two delta edges meet")
     prev = e
     for cur in cycle[1 : cycle.index(e_target) + 1]:
@@ -277,7 +272,7 @@ def verify_theorem1(c: EdgeColouring, s_known: Optional[int] = None) -> Verifica
     """
     t = _proper_table(c, "verification needs a proper colouring")
     g, codes = c.graph, c.codes
-    delta_edges = sorted(t.deltas)
+    delta_edges = t.deltas
     found = _memberships_lenient(t)
     verts_of = {
         (e, cls): {x for eid in cycle for x in g.edges[eid]}

@@ -18,9 +18,10 @@ exception.
 
 A worker that dies before handing back its chunk stops the batch with a
 BatchError naming that chunk's graphs, once every earlier chunk has been
-yielded.  However the batch ends (done, its reader gone, interrupted, a
-worker lost, its input failing), one finally closes every pipe, kills the
-workers still at work and reaps them all.
+yielded; a worker that cannot be forked stops it with one naming the
+worker.  However the batch ends (done, its reader gone, interrupted, a
+worker lost or not forked, its input failing), one finally closes every
+pipe, kills the workers still at work and reaps them all.
 """
 
 from __future__ import annotations
@@ -96,9 +97,11 @@ def _fork(run: Callable, pool: list[_Worker]) -> None:
     results_r, results_w = os.pipe()
     try:
         pid = os.fork()
-    except BaseException:
+    except BaseException as exc:
         for fd in (tasks_r, tasks_w, results_r, results_w):
             os.close(fd)
+        if isinstance(exc, OSError):
+            raise BatchError(f"cannot fork worker {len(pool) + 1}: {exc.strerror or exc}") from None
         raise
     if pid == 0:
         status = 1

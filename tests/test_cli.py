@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line interface."""
 
+import errno
 import io
 import json
 import os
@@ -506,13 +507,31 @@ main_entry()
 """
 
 
-def test_a_dying_worker_stops_the_batch_and_leaves_no_process(tmp_path):
-    # 9 graphs at --jobs 2 go in chunks of 2; the worker that takes Petersen
-    # (graph 4) dies with chunk 2, so chunks 0 and 1 still come out
-    lines = ["C~"] * 4 + [PETERSEN_G6, emit_graph6(make_named("k33"))] + ["C~"] * 3
-    path = write(tmp_path, "in.g6", "".join(ln + "\n" for ln in lines))
+# runs solve with os.fork failing as it does when processes run out, on its
+# second call
+_FAILING_FORK = """
+import errno, os, sys
+from deltamin.cli import main_entry
+
+real, calls = os.fork, []
+
+def fork():
+    calls.append(None)
+    if len(calls) == 2:
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+    return real()
+
+os.fork = fork
+sys.argv = ["deltamin"] + sys.argv[1:]
+main_entry()
+"""
+
+
+def _run_in_own_group(script, *argv):
+    """(exit status, stdout, stderr) of script run with argv in a new process
+    group, once that group has emptied."""
     proc = subprocess.Popen(
-        [*_STRICT_PYTHON, "-c", _DYING_WORKER, "solve", path, "--jobs", "2"],
+        [*_STRICT_PYTHON, "-c", script, *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
     )
     try:
@@ -522,9 +541,26 @@ def test_a_dying_worker_stops_the_batch_and_leaves_no_process(tmp_path):
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
     assert _group_gone(proc.pid)
-    assert proc.returncode == 2
+    return proc.returncode, out, err
+
+
+def test_a_dying_worker_stops_the_batch_and_leaves_no_process(tmp_path):
+    # 9 graphs at --jobs 2 go in chunks of 2; the worker that takes Petersen
+    # (graph 4) dies with chunk 2, so chunks 0 and 1 still come out
+    lines = ["C~"] * 4 + [PETERSEN_G6, emit_graph6(make_named("k33"))] + ["C~"] * 3
+    path = write(tmp_path, "in.g6", "".join(ln + "\n" for ln in lines))
+    status, out, err = _run_in_own_group(_DYING_WORKER, "solve", path, "--jobs", "2")
+    assert status == 2
     assert err == "deltamin solve: the worker for graphs 4-5 exited with status 3 before returning them\n"
     assert [json.loads(ln)["index"] for ln in out.splitlines()] == [0, 1, 2, 3]
+
+
+def test_a_failed_fork_stops_the_batch_and_leaves_no_process(tmp_path):
+    # the first worker is forked and then reaped; no graph is written
+    path = write(tmp_path, "in.g6", "C~\n" * 9)
+    assert _run_in_own_group(_FAILING_FORK, "solve", path, "--jobs", "2") == (
+        2, "", f"deltamin solve: cannot fork worker 2: {os.strerror(errno.EAGAIN)}\n",
+    )
 
 
 def test_workers_run_ahead_by_at_most_the_window(tmp_path, capsys, monkeypatch):
@@ -910,6 +946,20 @@ def test_generate_errors_cleanly(capsys, monkeypatch):
     code, out, err = run_main(["generate", "--random", "0", "--count", "0"], capsys=capsys)
     assert (code, out) == (2, "")
     assert err == "deltamin generate: need at least one vertex\n"
+
+
+@pytest.mark.parametrize("argv, n", [
+    (["--named", "cycle", "--size", "258048"], 258048),
+    (["--named", "flower", "--size", "64513"], 258052),
+    (["--random", "258048", "--count", "1"], 258048),
+], ids=["cycle", "flower", "random"])
+def test_generate_refuses_what_graph6_cannot_encode(capsys, monkeypatch, argv, n):
+    # refused before the graph is built: one past the largest graph6 size
+    monkeypatch.setattr(cli, "make_named", None)
+    monkeypatch.setattr(cli, "random_subcubic", None)
+    code, out, err = run_main(["generate", *argv], capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == f"deltamin generate: graph6 encodes at most 258047 vertices, not {n}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1028,8 +1028,9 @@ def reference_reduce_once(c):
 def reference_descent(g: Graph, seed: int, max_rounds: int = 64, rounds: Optional[dict] = None):
     """The descent loop of heuristic_descent on reference_reduce_once, with
     the delta count recounted every round as before.  rounds, when given,
-    counts improving and plateau rounds and keeps the most edges one
-    improving round recoloured."""
+    counts improving and plateau rounds, keeps the most edges one improving
+    round recoloured, and notes whether the last run ended on the state
+    where it first reached its best count (ended_at_best)."""
     rounds = {} if rounds is None else rounds
     rng = random.Random(f"descent:{seed}")
     factor = find_two_factor(g)
@@ -1053,6 +1054,7 @@ def reference_descent(g: Graph, seed: int, max_rounds: int = 64, rounds: Optiona
             current = kempe_swap(current, d, rng.randrange(len(d.components)))
         if current.delta_count() < best.delta_count():
             best = current
+    rounds["ended_at_best"] = current is best
     return best.delta_count(), best.colours
 
 
@@ -1093,12 +1095,19 @@ def test_heuristic_descent_matches_frozen_reference():
     graphs = [make_named("flower", k) for k in (5, 7, 9)]
     graphs += [random_subcubic(20 + 7 * i, 4100 + i) for i in range(40)]
     cases = [(g, i, 8 + i % 60) for i, g in enumerate(graphs)]
+    cases += [(g, i, r) for i, g in enumerate(graphs[:12]) for r in (0, 1)]
     cases += descent_inputs(range(200, 501, 100), (5, 11, 15), (0, 1), 64)
     rounds: dict = {}
     for g, seed, max_rounds in cases:
         got = heuristic_descent(g, seed=seed, max_rounds=max_rounds)
         assert (got.s_value, got.witness.colours) == reference_descent(g, seed, max_rounds, rounds)
     assert rounds["plateau"] > 1000 and rounds["improving"] > 500 and rounds["most_moved"] > 20, rounds
+    # the witness comes from the table when the run ends on its best state
+    # (here at s = 0), and from the copy taken when a swap left that state
+    for g, s, at_best in ((random_subcubic(300, 4600), 0, True), (make_named("flower", 11), 2, False)):
+        got = heuristic_descent(g, seed=0, max_rounds=200)
+        assert (got.s_value, got.witness.colours) == reference_descent(g, 0, 200, rounds)
+        assert (got.s_value, rounds["ended_at_best"]) == (s, at_best)
 
 
 @pytest.mark.slow
