@@ -223,24 +223,23 @@ class VerificationReport(NamedTuple):
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _boundary_edges(c: EdgeColouring, verts: set[int]) -> list[int]:
-    """Edges with exactly one end in verts, ascending."""
-    adjacency = c.graph.adjacency
-    return sorted(eid for a in verts for b, eid in adjacency[a] if b not in verts)
-
-
 def _joins(c: EdgeColouring, delta_edges: list[int]) -> dict[tuple[int, int], list[int]]:
     """Each pair (e1, e2), e1 < e2, of delta edges joined by an edge, mapped
     to its joining edges, ascending.  Delta is a matching, so every vertex
-    has at most one delta edge, its owner: one pass files every join."""
-    if not delta_edges:
-        return {}
-    owner = {x: e for e in delta_edges for x in c.graph.edges[e]}
+    has at most one delta edge, its owner.  The walk looks only around the
+    delta edges' ends and files a joining edge from its lower owner's side,
+    so it meets each joining edge once."""
+    ends, adjacency = c.graph.edges, c.graph.adjacency
+    owner = {x: e for e in delta_edges for x in ends[e]}
     joins: dict[tuple[int, int], list[int]] = {}
-    for eid, (a, b) in enumerate(c.graph.edges):
-        e1, e2 = owner.get(a), owner.get(b)
-        if e1 is not None and e2 is not None and e1 != e2:
-            joins.setdefault((min(e1, e2), max(e1, e2)), []).append(eid)
+    for e in delta_edges:
+        for x in ends[e]:
+            for y, eid in adjacency[x]:
+                f = owner.get(y, e)  # a vertex off delta files nothing
+                if f > e:
+                    joins.setdefault((e, f), []).append(eid)
+    for joining in joins.values():
+        joining.sort()
     return joins
 
 
@@ -264,109 +263,82 @@ def verify_theorem1(c: EdgeColouring, s_known: Optional[int] = None) -> Verifica
     cubic graphs only and passes vacuously otherwise; strong_matching_flag
     is informational (always passes, value reported separately).
 
-    The pair, trio and strong-matching clauses read one map of the edges
-    joining delta edges, and cycles are compared only where they meet at a
-    vertex, so the cost is linear in the graph plus the size of the report.
-    Properness is checked by the one table build; past it, every step is
-    per delta edge, so a witness without one costs that build alone.
+    Properness is checked by the one table build.  Past it, one pass over
+    the delta edges, ascending, and over each one's associated cycles
+    fills every per-edge and per-cycle clause, the class members and an
+    index of the cycles through each vertex.  The global clauses read what
+    that pass built: cycles are compared only where they meet at a vertex,
+    and the pair, trio and strong-matching clauses read one map of the
+    edges joining delta edges.  So every step is per delta edge or cycle,
+    a witness without one costs the table build alone, and the whole cost
+    is linear in the graph plus the size of the report.
     """
     t = _proper_table(c, "verification needs a proper colouring")
     g, codes = c.graph, c.codes
-    delta_edges = t.deltas
+    ends, adjacency, degree = g.edges, g.adjacency, g.degree
     found = _memberships_lenient(t)
-    verts_of = {
-        (e, cls): {x for eid in cycle for x in g.edges[eid]}
-        for e in delta_edges
-        for cls, cycle in found[e].items()
-    }
-    clauses: list[ClauseResult] = []
-
-    # delta_incidence: all three proper colours appear next to each delta
-    # edge, so none is free at both its ends
-    bad = []
-    for e in delta_edges:
-        u, v = g.edges[e]
+    incidence, pattern, unclassified, oddness, external, consecutive = [], [], [], [], [], []
+    members: dict[DeltaClass, list[int]] = {cls: [] for cls in DeltaClass}
+    cycle_verts: list[tuple[int, set[int]]] = []  # (delta edge, its cycle's vertices)
+    on: dict[int, list[int]] = {}  # vertex -> positions in cycle_verts of the cycles through it
+    for e in t.deltas:
+        u, v = ends[e]
+        # delta_incidence: all three proper colours appear next to each
+        # delta edge, so none is free at both its ends
         if set(t.free(u)).intersection(t.free(v)):
-            bad.append(e)
-    clauses.append(_clause("delta_incidence", bad, "edges"))
-
-    # degree_pattern: end degrees (2,3) or (3,3)
-    bad = []
-    for e in delta_edges:
-        u, v = g.edges[e]
-        if sorted((g.degree(u), g.degree(v))) not in ([2, 3], [3, 3]):
-            bad.append(e)
-    clauses.append(_clause("degree_pattern", bad, "edges"))
-
-    # classification_total: every delta edge joined in at least one class
-    clauses.append(_clause("classification_total", [e for e in delta_edges if not found[e]], "edges"))
-
-    # cycle_oddness: every recorded cycle odd, with exactly one delta edge
-    bad = []
-    for e in delta_edges:
+            incidence.append(e)
+        # degree_pattern: end degrees (2,3) or (3,3), the only pairs of
+        # degrees at most three that sum to five or more
+        if degree(u) + degree(v) < 5:
+            pattern.append(e)
+        # classification_total: every delta edge joined in at least one class
+        if not found[e]:
+            unclassified.append(e)
         for cls, cycle in found[e].items():
-            deltas_on = [x for x in cycle if codes[x] == "d"]
-            if len(cycle) % 2 == 0 or deltas_on != [e]:
-                bad.append({"edge": e, "class": cls.value, "length": len(cycle)})
-    clauses.append(_clause("cycle_oddness", bad, "cycles"))
-
-    # external_edge_colour: edges leaving a cycle wear the class colour
-    bad = []
-    for e in delta_edges:
-        for cls, cycle in found[e].items():
+            members[cls].append(e)
+            # cycle_oddness: every recorded cycle odd, with exactly one delta edge
+            if len(cycle) % 2 == 0 or [x for x in cycle if codes[x] == "d"] != [e]:
+                oddness.append({"edge": e, "class": cls.value, "length": len(cycle)})
+            # external_edge_colour: edges leaving a cycle wear the class colour
+            verts = {x for eid in cycle for x in ends[eid]}
             want = _LETTERS[cls][2]
-            for eid in _boundary_edges(c, verts_of[(e, cls)]):
-                if codes[eid] != want:
-                    bad.append({"edge": e, "class": cls.value, "external": eid})
-    clauses.append(_clause("external_edge_colour", bad, "edges"))
-
-    # no_consecutive_degree2: no cycle edge joins two degree-2 vertices
-    bad = []
-    for e in delta_edges:
-        for cls, cycle in found[e].items():
+            external += ({"edge": e, "class": cls.value, "external": eid} for eid in sorted(
+                eid for a in verts for b, eid in adjacency[a] if b not in verts and codes[eid] != want))
+            # no_consecutive_degree2: no cycle edge joins two degree-2 vertices
             for eid in cycle:
-                a, b = g.edges[eid]
-                if g.degree(a) == 2 and g.degree(b) == 2:
-                    bad.append({"edge": e, "class": cls.value, "vertices": [a, b]})
-    clauses.append(_clause("no_consecutive_degree2", bad, "pairs"))
+                a, b = ends[eid]
+                if degree(a) == 2 == degree(b):
+                    consecutive.append({"edge": e, "class": cls.value, "vertices": [a, b]})
+            for x in verts:
+                on.setdefault(x, []).append(len(cycle_verts))
+            cycle_verts.append((e, verts))
 
     # cycles_disjoint: cycles of distinct delta edges share no vertex; only
     # cycles that meet at a vertex are compared, in (e1, e2, class) order
-    keys = list(verts_of)
-    on: dict[int, list[int]] = {}
-    for i, key in enumerate(keys):
-        for x in verts_of[key]:
-            on.setdefault(x, []).append(i)
-    meeting = {(i, j) for idx in on.values() for i, j in combinations(idx, 2) if keys[i][0] != keys[j][0]}
-    bad = [{"edges": [keys[i][0], keys[j][0]], "vertices": sorted(verts_of[keys[i]] & verts_of[keys[j]])}
-           for i, j in sorted(meeting, key=lambda p: (keys[p[0]][0], keys[p[1]][0], p))]
-    clauses.append(_clause("cycles_disjoint", bad, "pairs"))
+    meeting = {(i, j) for idx in on.values() for i, j in combinations(idx, 2)
+               if cycle_verts[i][0] != cycle_verts[j][0]}
+    disjoint = [{"edges": [cycle_verts[i][0], cycle_verts[j][0]],
+                 "vertices": sorted(cycle_verts[i][1] & cycle_verts[j][1])}
+                for i, j in sorted(meeting, key=lambda p: (cycle_verts[p[0]][0], cycle_verts[p[1]][0], p))]
 
     # parity_congruence (cubic only): |A| ≡ |B| ≡ |C| ≡ s (mod 2)
-    counts = {cls.value: 0 for cls in DeltaClass}
-    for e in delta_edges:
-        for cls in found[e]:
-            counts[cls.value] += 1
-    target = s_known if s_known is not None else len(delta_edges)
+    counts = {cls.value: len(es) for cls, es in members.items()}
+    target = s_known if s_known is not None else len(t.deltas)
     ok = _congruent_mod_2(counts["A"], counts["B"], counts["C"], target) or not g.is_cubic()
-    clauses.append(
-        ClauseResult("parity_congruence", ok, None if ok else {"counts": dict(counts), "target": target})
-    )
 
     # pair_interaction: disjoint classes force 2K2, shared class allows one
     # joining edge; an unjoined pair passes, and one with an unclassified
     # edge is already reported by classification_total
-    joins = _joins(c, delta_edges)
-    bad = [{"edges": [e1, e2], "joining": joining} for (e1, e2), joining in sorted(joins.items())
-           if found[e1] and found[e2] and len(joining) > (1 if found[e1].keys() & found[e2].keys() else 0)]
-    clauses.append(_clause("pair_interaction", bad, "pairs"))
+    joins = _joins(c, t.deltas)
+    pairs = [{"edges": [e1, e2], "joining": joining} for (e1, e2), joining in sorted(joins.items())
+             if found[e1] and found[e2] and len(joining) > (1 if found[e1].keys() & found[e2].keys() else 0)]
 
     # triple_interaction: three same-class edges induce at most four edges.
     # A trio induces itself and the joins among its pairs, so only a trio
     # holding a pair joined twice, or two joined pairs, can fail
-    bad = []
-    for cls in DeltaClass:
-        near: dict[int, list[int]] = {e: [] for e in delta_edges if cls in found[e]}
+    triples = []
+    for cls, es in members.items():
+        near: dict[int, list[int]] = {e: [] for e in es}
         trios = set()
         for (e1, e2), joining in joins.items():
             if e1 in near and e2 in near:
@@ -378,18 +350,22 @@ def verify_theorem1(c: EdgeColouring, s_known: Optional[int] = None) -> Verifica
             trios.update(tuple(sorted((e, a, b))) for a, b in combinations(partners, 2))
         for trio in sorted(trios):
             induced = sorted([*trio, *(x for pair in combinations(trio, 2) for x in joins.get(pair, ()))])
-            bad.append({"edges": list(trio), "class": cls.value, "induced": induced})
-    clauses.append(_clause("triple_interaction", bad, "triples"))
+            triples.append({"edges": list(trio), "class": cls.value, "induced": induced})
 
-    # strong_matching_flag: informational only
-    clauses.append(ClauseResult("strong_matching_flag", True, None))
-
-    return VerificationReport(
-        clauses=tuple(clauses),
-        delta_count=len(delta_edges),
-        counts=counts,
-        strong_matching=not joins,
+    clauses = (
+        _clause("delta_incidence", incidence, "edges"),
+        _clause("degree_pattern", pattern, "edges"),
+        _clause("classification_total", unclassified, "edges"),
+        _clause("cycle_oddness", oddness, "cycles"),
+        _clause("external_edge_colour", external, "edges"),
+        _clause("no_consecutive_degree2", consecutive, "pairs"),
+        _clause("cycles_disjoint", disjoint, "pairs"),
+        ClauseResult("parity_congruence", ok, None if ok else {"counts": dict(counts), "target": target}),
+        _clause("pair_interaction", pairs, "pairs"),
+        _clause("triple_interaction", triples, "triples"),
+        ClauseResult("strong_matching_flag", True, None),  # informational only
     )
+    return VerificationReport(clauses, len(t.deltas), counts, strong_matching=not joins)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ order.  Each worker has two pipes to the parent.  On one the parent writes
 the rows of the worker's next chunk whenever the worker hands a chunk back,
 so slow rows that bunch in one chunk hold up one worker, not the others.
 On the other the worker writes each chunk's result list.  Both are pickled
-and length-prefixed; the parent waits on the result pipes with select.
+and length-prefixed; the parent waits on the result pipes with poll,
+which, unlike select, takes a descriptor of any number.
 
 A chunk is drawn from its iterator only when it is handed out, only to an
 idle worker, and only while fewer than 2 * workers chunks are out and not
@@ -93,16 +94,18 @@ def _serve(run: Callable, tasks: int, results: int) -> None:
 
 def _fork(run: Callable, pool: list[_Worker]) -> None:
     """Start one worker and add it to pool."""
-    tasks_r, tasks_w = os.pipe()
-    results_r, results_w = os.pipe()
+    fds: list[int] = []
     try:
+        fds += os.pipe()
+        fds += os.pipe()
         pid = os.fork()
     except BaseException as exc:
-        for fd in (tasks_r, tasks_w, results_r, results_w):
+        for fd in fds:
             os.close(fd)
         if isinstance(exc, OSError):
             raise BatchError(f"cannot fork worker {len(pool) + 1}: {exc.strerror or exc}") from None
         raise
+    tasks_r, tasks_w, results_r, results_w = fds
     if pid == 0:
         status = 1
         try:
@@ -177,7 +180,10 @@ def fork_map(run: Callable, chunks: Iterable[list[tuple]], workers: int) -> Iter
                 if yielded in lost:
                     raise BatchError(lost[yielded])
                 busy = {w.results: w for w in pool if w.chunk is not None}
-                for fd in select.select(list(busy), [], [])[0]:
+                waiting = select.poll()
+                for fd in busy:
+                    waiting.register(fd, select.POLLIN)
+                for fd, _ in waiting.poll():
                     w = busy[fd]
                     result = _receive(fd)
                     if result is None:

@@ -527,6 +527,40 @@ main_entry()
 """
 
 
+# runs solve with os.pipe failing as it does when descriptors run out, on
+# its third call: the first pipe of the second worker
+_FAILING_PIPE = """
+import errno, os, sys
+from deltamin.cli import main_entry
+
+real, calls = os.pipe, []
+
+def pipe():
+    calls.append(None)
+    if len(calls) == 3:
+        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+    return real()
+
+os.pipe = pipe
+sys.argv = ["deltamin"] + sys.argv[1:]
+main_entry()
+"""
+
+
+# runs the command holding 1,100 more descriptors open, so the workers'
+# pipes get numbers past select's limit of 1,024
+_MANY_DESCRIPTORS = """
+import os, resource, sys
+from deltamin.cli import main_entry
+
+soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+resource.setrlimit(resource.RLIMIT_NOFILE, (max(soft, 2048), hard))
+held = [os.open(os.devnull, os.O_RDONLY) for _ in range(1100)]
+sys.argv = ["deltamin"] + sys.argv[1:]
+main_entry()
+"""
+
+
 def _run_in_own_group(script, *argv):
     """(exit status, stdout, stderr) of script run with argv in a new process
     group, once that group has emptied."""
@@ -561,6 +595,22 @@ def test_a_failed_fork_stops_the_batch_and_leaves_no_process(tmp_path):
     assert _run_in_own_group(_FAILING_FORK, "solve", path, "--jobs", "2") == (
         2, "", f"deltamin solve: cannot fork worker 2: {os.strerror(errno.EAGAIN)}\n",
     )
+
+
+def test_a_failed_pipe_stops_the_batch_and_leaves_no_process(tmp_path):
+    path = write(tmp_path, "in.g6", "C~\n" * 9)
+    assert _run_in_own_group(_FAILING_PIPE, "solve", path, "--jobs", "2") == (
+        2, "", f"deltamin solve: cannot fork worker 2: {os.strerror(errno.EMFILE)}\n",
+    )
+
+
+def test_workers_wait_on_descriptors_past_the_select_limit(tmp_path, capsys):
+    hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]
+    if hard != resource.RLIM_INFINITY and hard < 2048:
+        pytest.skip(f"descriptor hard limit {hard} is under 2048")
+    path = write(tmp_path, "in.g6", "".join(ln + "\n" for ln in ["C~", PETERSEN_G6] * 5))
+    _, serial, _ = run_main(["solve", path], capsys=capsys)
+    assert _run_in_own_group(_MANY_DESCRIPTORS, "solve", path, "--jobs", "2") == (0, serial, "")
 
 
 def test_workers_run_ahead_by_at_most_the_window(tmp_path, capsys, monkeypatch):

@@ -431,6 +431,43 @@ def test_random_subcubic_deterministic():
     assert random_subcubic(20, 8) != a
 
 
+def reference_random_subcubic(n: int, seed: int) -> list[tuple[int, int]]:
+    """Frozen copy of the earlier random_subcubic's edge list, which rebuilt
+    the tree's open slots for every new vertex (quadratic time); the test
+    oracle for the generator's output, not a second path in the package."""
+    rng = random.Random(f"subcubic:{n}:{seed}")
+    if n == 1:
+        return []
+    labels = list(range(n))
+    rng.shuffle(labels)
+    edges, deg, adj = [], [0] * n, set()
+
+    def add(u, v):
+        u, v = min(u, v), max(u, v)
+        edges.append((u, v))
+        adj.add((u, v))
+        deg[u] += 1
+        deg[v] += 1
+
+    in_tree = [labels[0]]
+    for v in labels[1:]:
+        open_slots = [u for u in in_tree if deg[u] < 3]
+        add(rng.choice(open_slots), v)
+        in_tree.append(v)
+    for _ in range(4 * n):
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        if u != v and deg[u] < 3 and deg[v] < 3 and (min(u, v), max(u, v)) not in adj:
+            add(u, v)
+    return edges
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_subcubic_matches_frozen_reference(seed):
+    for n in [*range(1, 60), 200, 1000, 3000]:
+        assert list(random_subcubic(n, seed).edges) == reference_random_subcubic(n, seed), n
+
+
 @given(n=st.integers(min_value=1, max_value=40), seed=st.integers(min_value=0, max_value=2**63 - 1))
 @settings(max_examples=60, deadline=None)
 def test_random_subcubic_properties(n, seed):
