@@ -383,8 +383,8 @@ def cmd_generate(args: argparse.Namespace, out: Optional[TextIO] = None) -> int:
         if args.named is not None:
             # cycle k has k vertices, flower k has 4k, the fixed graphs few
             n = {"cycle": 1, "flower": 4}.get(args.named.strip().lower(), 0) * (args.size or 0)
-            if n > 258047:
-                raise DomainError(f"graph6 encodes at most 258047 vertices, not {n}")
+            if n > graphlib.G6_MAX_VERTICES:
+                raise DomainError(f"graph6 encodes at most {graphlib.G6_MAX_VERTICES} vertices, not {n}")
             emitted = [make_named(args.named, args.size)]
         elif args.cubic is not None:
             emitted = enumerate_cubic(args.cubic)
@@ -393,8 +393,8 @@ def cmd_generate(args: argparse.Namespace, out: Optional[TextIO] = None) -> int:
                 raise DomainError("--count must be non-negative")
             if args.random < 1:
                 raise DomainError("need at least one vertex")
-            if args.random > 258047:
-                raise DomainError(f"graph6 encodes at most 258047 vertices, not {args.random}")
+            if args.random > graphlib.G6_MAX_VERTICES:
+                raise DomainError(f"graph6 encodes at most {graphlib.G6_MAX_VERTICES} vertices, not {args.random}")
             rng = random.Random(f"generate:{args.seed}")
             emitted = (
                 random_subcubic(args.random, rng.randrange(2**31))
@@ -459,19 +459,21 @@ def cmd_suite(cfg: RunConfig, out: Optional[TextIO] = None) -> int:
 # argument parsing / entry point
 
 
-def _add_common(p: argparse.ArgumentParser, batch: bool = True) -> None:
-    """--exact-limit and --seed; a batch command (solve, verify, analyze)
-    also takes an input, --format and --jobs."""
-    if batch:
-        p.add_argument("input_path", metavar="input", help="input path, or - for standard input")
-        p.add_argument(
-            "--format", choices=("graph6", "edgelist"), default="graph6",
-            help="input encoding (graph6: one graph per line)",
-        )
-        p.add_argument(
-            "--jobs", type=int, default=1, metavar="J",
-            help="worker processes for independent graphs",
-        )
+def _add_input(p: argparse.ArgumentParser) -> None:
+    """A batch command's input, --format and --jobs."""
+    p.add_argument("input_path", metavar="input", help="input path, or - for standard input")
+    p.add_argument(
+        "--format", choices=("graph6", "edgelist"), default="graph6",
+        help="input encoding (graph6: one graph per line)",
+    )
+    p.add_argument(
+        "--jobs", type=int, default=1, metavar="J",
+        help="worker processes for independent graphs",
+    )
+
+
+def _add_solving(p: argparse.ArgumentParser) -> None:
+    """--exact-limit and --seed, for the commands that solve."""
     p.add_argument(
         "--exact-limit", type=int, default=DEFAULT_EXACT_LIMIT, metavar="N",
         help="largest vertex count solved exactly (minimum 4)",
@@ -488,14 +490,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="minimum delta count per graph")
-    _add_common(p_solve)
+    _add_input(p_solve)
+    _add_solving(p_solve)
     p_solve.add_argument(
         "--out", dest="output", choices=("json", "csv", "dot"), default="json",
         help="report format",
     )
 
     p_verify = sub.add_parser("verify", help="check structural clauses of witness colourings")
-    _add_common(p_verify)
+    _add_input(p_verify)
     p_verify.add_argument(
         "--colouring", required=True, metavar="PATH",
         help="JSON-lines colouring file aligned with the input graphs; "
@@ -504,7 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_analyze = sub.add_parser("analyze", help="solve, verify, and report parity per graph")
-    _add_common(p_analyze)
+    _add_input(p_analyze)
+    _add_solving(p_analyze)
 
     p_gen = sub.add_parser("generate", help="emit graph6 corpora")
     what = p_gen.add_mutually_exclusive_group(required=True)
@@ -516,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0, metavar="S")
 
     p_suite = sub.add_parser("suite", help="run the self-check property suites")
-    _add_common(p_suite, batch=False)
+    _add_solving(p_suite)
 
     return parser
 

@@ -423,13 +423,8 @@ def _resolve_clash(t: ColourTable, u: int, deltas: list[int]) -> dict[int, int]:
         a, b = g.edges[eid]
         return b if a == u else a
 
-    if g.degree(u) == 2 or len(deltas) == 3:
-        # no third colour pins the choice; any colour free at the far end of
-        # the lowest delta edge works (at most two are taken there)
-        return {e1: t.free(other_end(e1))[0]}
-
-    third = next(eid for _, eid in g.adjacency[u] if eid not in (e1, e2))
-    x = t.code[third]
+    # x is the third edge's code, or delta (3) if none, which no free colour equals
+    x = next((t.code[eid] for _, eid in g.adjacency[u] if eid not in (e1, e2)), 3)
     # direct recolouring: some colour other than x free at the far end
     for eid in (e1, e2):
         for k in t.free(other_end(eid)):

@@ -15,6 +15,8 @@ from typing import Iterable, Iterator, Sequence
 from .errors import DomainError, GraphFormatError
 
 MAX_DEGREE = 3
+# the most vertices emit_graph6 encodes: the bound of graph6's 4-byte size field
+G6_MAX_VERTICES = 258047
 
 _G6_HEADER = ">>graph6<<"
 # the longest prefix of bytes in graph6's range, 63 to 126
@@ -152,21 +154,18 @@ class Graph:
         return f"Graph({self.vertex_count}, m={self.edge_count})"
 
 
-def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, list[int], list[int]]:
-    """Subgraph induced on ``vertices``.
-
-    Returns ``(sub, vertex_map, edge_map)`` where ``vertex_map[i]`` is the
-    original label of sub-vertex ``i`` and ``edge_map[j]`` the original id of
-    sub-edge ``j``.
-    """
+def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, list[int]]:
+    """Subgraph induced on ``vertices``, as ``(sub, edge_map)``: sub-vertex
+    ``i`` is ``vertices[i]`` (the last position for a repeated vertex) and
+    sub-edge ``j`` is edge ``edge_map[j]``, in ascending id.  It reads only
+    the given vertices' incidence lists; one outside g raises DomainError."""
     index = {v: i for i, v in enumerate(vertices)}
-    sub_edges = []
-    edge_map = []
-    for eid, (u, v) in enumerate(g.edges):
-        if u in index and v in index:
-            sub_edges.append((index[u], index[v]))
-            edge_map.append(eid)
-    return Graph(len(vertices), sub_edges), list(vertices), edge_map
+    for v in index:
+        if not 0 <= v < g.vertex_count:
+            raise DomainError(f"vertex {v} out of range for {g.vertex_count} vertices")
+    # each edge once, from its lower end
+    found = sorted((eid, i, index[w]) for v, i in index.items() for w, eid in g.adjacency[v] if v < w and w in index)
+    return Graph(len(vertices), [(a, b) for _, a, b in found]), [eid for eid, _, _ in found]
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +250,7 @@ def emit_graph6(g: Graph) -> str:
     n = g.vertex_count
     if n <= 62:
         size = bytes([n + 63])
-    elif n <= 258047:
+    elif n <= G6_MAX_VERTICES:
         size = bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
     else:
         raise DomainError("graph too large for graph6 encoding")

@@ -419,7 +419,7 @@ def solve_exact(g: Graph) -> SolveResult:
     total = 0
     codes = [""] * g.edge_count
     for comp in comps:
-        sub, _, edge_map = induced_subgraph(g, comp)
+        sub, edge_map = induced_subgraph(g, comp)
         result = _solve_exact_connected(sub)
         total += result.s_value
         for sub_eid, k in enumerate(result.witness.codes):

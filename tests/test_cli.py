@@ -1069,6 +1069,15 @@ def test_bad_flags_exit_with_usage(capsys, monkeypatch):
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--exact-limit", "3"]])
+def test_verify_takes_no_solving_options(capsys, flag):
+    # verify solves nothing, so it has no --seed or --exact-limit
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "-", "--colouring", "colours.jsonl", *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
 # deltamin's --help and each subcommand's, and the usage error of a batch
 # command given no input
 HELP_ARGVS = [["--help"], *([cmd, "--help"] for cmd in ("solve", "verify", "analyze", "generate", "suite")), ["solve"]]

@@ -111,13 +111,66 @@ def test_components_and_connectivity():
 
 def test_induced_subgraph_maps():
     g = make_named("petersen")
-    sub, vmap, emap = induced_subgraph(g, [0, 1, 2, 5])
+    vertices = [0, 1, 2, 5]
+    sub, emap = induced_subgraph(g, vertices)
     assert sub.vertex_count == 4
     # edges 0-1, 1-2, 0-5 survive
     assert sub.edge_count == 3
     for new_eid, old_eid in enumerate(emap):
         a, b = sub.endpoints(new_eid)
-        assert tuple(sorted((vmap[a], vmap[b]))) == g.endpoints(old_eid)
+        assert tuple(sorted((vertices[a], vertices[b]))) == g.endpoints(old_eid)
+
+
+def reference_induced_subgraph(g: Graph, vertices) -> tuple:
+    """Frozen copy of induced_subgraph as it was when it scanned every edge
+    of g, less its vertex map (which was list(vertices))."""
+    index = {v: i for i, v in enumerate(vertices)}
+    sub_edges = []
+    edge_map = []
+    for eid, (u, v) in enumerate(g.edges):
+        if u in index and v in index:
+            sub_edges.append((index[u], index[v]))
+            edge_map.append(eid)
+    return Graph(len(vertices), sub_edges), edge_map
+
+
+def test_induced_subgraph_matches_frozen_reference():
+    rng = random.Random("induced")
+    for seed in range(300):
+        n = rng.randint(1, 24)
+        g = random_subcubic(n, seed)
+        if seed % 2:  # disconnected: drop a random third of the edges
+            g = Graph(n, [e for e in g.edges if rng.random() < 0.67])
+        for vertices in (
+            [],
+            rng.sample(range(n), rng.randint(1, n)),
+            [rng.randrange(n) for _ in range(rng.randint(1, 2 * n))],
+        ):
+            sub, emap = induced_subgraph(g, vertices)
+            ref, ref_emap = reference_induced_subgraph(g, vertices)
+            assert (sub.vertex_count, sub.edges, emap) == (ref.vertex_count, ref.edges, ref_emap), (g.edges, vertices)
+
+
+class IndexOnlyEdges(tuple):
+    """An edge tuple that can be indexed but refuses to be iterated."""
+
+    def __iter__(self):
+        raise AssertionError("the whole edge tuple was scanned")
+
+
+def test_induced_subgraph_reads_only_incidence_lists():
+    pet = make_named("petersen")
+    g = Graph(30, [(u + 10 * i, v + 10 * i) for i in range(3) for u, v in pet.edges])
+    g.edges = IndexOnlyEdges(g.edges)
+    sub, emap = induced_subgraph(g, range(10, 20))
+    assert sub.edges == pet.edges
+    assert emap == list(range(15, 30))
+
+
+@pytest.mark.parametrize("vertices", [[0, 10], [3, -1], [-10]])
+def test_induced_subgraph_refuses_vertices_outside_the_graph(vertices):
+    with pytest.raises(DomainError, match="out of range"):
+        induced_subgraph(make_named("petersen"), vertices)
 
 
 # ---------------------------------------------------------------------------

@@ -223,7 +223,7 @@ def frozen_solve(g: Graph) -> tuple:
     """solve_exact's split into components, over the frozen level loop."""
     total, colours = 0, [None] * g.edge_count
     for comp in g.components():
-        sub, _, edge_map = induced_subgraph(g, comp)
+        sub, edge_map = induced_subgraph(g, comp)
         k, sub_colours = frozen_level_loop(sub)
         total += k
         for sub_eid, col in enumerate(sub_colours):
