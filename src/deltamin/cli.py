@@ -35,10 +35,11 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional, TextIO
 
 from . import graphs as graphlib
 from .errors import BatchError, DeltaMinError, DomainError, GraphFormatError
-from .graphs import Graph, emit_graph6, enumerate_cubic, make_named, parse_edge_list, parse_graph6, random_subcubic
+from .graphs import Graph, enumerate_cubic, make_named, parse_edge_list, parse_graph6, random_subcubic
 
 if TYPE_CHECKING:
     import logging
+    from types import ModuleType
 
     from .solver import SolveResult
 
@@ -192,6 +193,18 @@ def _json_line(rec: dict) -> str:
     return json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _solve_line(index: int, g: Graph, result: SolveResult) -> str:
+    """A solve record, byte for byte as _json_line writes it, from one
+    format string with the keys in sorted order: every value is an integer
+    or a string that JSON prints as it is."""
+    codes = result.witness.codes
+    colours = '["' + '","'.join(codes) + '"]' if codes else "[]"
+    return (
+        f'{{"colours":{colours},"index":{index},"m":{g.edge_count},'
+        f'"method":"{result.method.value}","n":{g.vertex_count},"s":{result.s_value}}}\n'
+    )
+
+
 def _dot_block(index: int, g: Graph, result: SolveResult) -> str:
     stats = f"n={g.vertex_count} m={g.edge_count} s={result.s_value} method={result.method.value}"
     edges = zip(g.edges, result.witness.codes)
@@ -199,19 +212,20 @@ def _dot_block(index: int, g: Graph, result: SolveResult) -> str:
     return f"graph g{index} {{\n  // {stats}\n{body}}}\n"
 
 
-def _render(cfg: RunConfig, index: int, g: Graph) -> Output:
-    # cmd_batch has loaded these modules
-    from .solver import Method, heuristic_descent, solve_exact
-
+def _render(cfg: RunConfig, solver: ModuleType, index: int, g: Graph) -> Output:
     if g.vertex_count <= cfg.exact_limit:
-        result = solve_exact(g)
+        result = solver.solve_exact(g)
     else:
-        result = heuristic_descent(g, seed=cfg.seed)
+        result = solver.heuristic_descent(g, seed=cfg.seed)
     if cfg.output == "csv":
         row = f"g{index},{g.vertex_count},{g.edge_count},{result.s_value},{result.method.value}\n"
         return row, None, True
     if cfg.output == "dot":
         return _dot_block(index, g, result), None, True
+    if cfg.command != "analyze":
+        return _solve_line(index, g, result), None, True
+    from .structure import verify_theorem1
+
     rec = {
         "index": index,
         "n": g.vertex_count,
@@ -220,14 +234,10 @@ def _render(cfg: RunConfig, index: int, g: Graph) -> Output:
         "method": result.method.value,
         "colours": list(result.witness.codes),
     }
-    if cfg.command != "analyze":
-        return _json_line(rec), None, True
-    from .structure import verify_theorem1
-
     report = verify_theorem1(result.witness)
     rec["verification"] = report.to_dict()
     rec["parity"] = None
-    if g.is_cubic() and result.method is Method.EXACT and result.s_value > 0:
+    if g.is_cubic() and result.method is solver.Method.EXACT and result.s_value > 0:
         # on a cubic graph every delta edge of a delta-minimum witness lies
         # in exactly one class, so the report's counts partition s
         rec["parity"] = {
@@ -259,7 +269,9 @@ def _error_output(cfg: RunConfig, index: int, message: str, offset: Optional[int
     return (_json_line(rec) if cfg.output == "json" else ""), message, False
 
 
-def _graph_output(cfg: RunConfig, index: int, payload: str, colouring: Optional[str]) -> Output:
+def _graph_output(
+    cfg: RunConfig, solver: Optional[ModuleType], index: int, payload: str, colouring: Optional[str]
+) -> Output:
     try:
         g = parse_graph6(payload) if cfg.format == "graph6" else parse_edge_list(payload)
     except DeltaMinError as exc:
@@ -267,7 +279,7 @@ def _graph_output(cfg: RunConfig, index: int, payload: str, colouring: Optional[
     try:
         if cfg.command == "verify":
             return _verify_output(cfg, index, g, colouring)
-        return _render(cfg, index, g)
+        return _render(cfg, solver, index, g)
     except Exception as exc:  # one graph's failure must not lose the rest of the batch
         _log().exception("graph %d", index)
         return _error_output(cfg, index, f"{type(exc).__name__}: {exc}", None)
@@ -306,7 +318,9 @@ def _chunked(rows: Iterator[tuple], size: int) -> Iterator[list[tuple]]:
         yield chunk
 
 
-def _outputs(cfg: RunConfig, graphs: _Lines | list[str], colourings: _Lines | list[str]) -> Iterator[Output]:
+def _outputs(
+    cfg: RunConfig, solver: Optional[ModuleType], graphs: _Lines | list[str], colourings: _Lines | list[str]
+) -> Iterator[Output]:
     """Each graph's output, in input order; verify checks the i-th graph
     against the i-th colouring, or None past the last.  Above --jobs 1
     forked workers are handed contiguous chunks of ceil(n / (4 * jobs))
@@ -320,7 +334,7 @@ def _outputs(cfg: RunConfig, graphs: _Lines | list[str], colourings: _Lines | li
     workers, or that runs where os.fork does not exist, runs in this
     process.  A graph's text depends only on its line and the config, so
     output does not depend on --jobs."""
-    run = functools.partial(_graph_output, cfg)
+    run = functools.partial(_graph_output, cfg, solver)
     # zip_longest reads both inputs to their end, where _Lines checks its count
     pairs = itertools.zip_longest(graphs, colourings)
     rows = ((index, graph, colouring) for index, (graph, colouring) in enumerate(pairs))
@@ -341,9 +355,11 @@ def cmd_batch(cfg: RunConfig, colouring_path: Optional[str] = None, out: Optiona
     non-blank line, an edge-list file a single graph; verify checks each
     graph against the colouring line at its position in colouring_path,
     which may hold fewer lines than there are graphs but not more."""
-    # imported before the workers fork, so that they do not import them again
+    # imported before the workers fork, so that they do not import them
+    # again; each graph's run is handed the solver, not made to import it
+    solver = None
     if cfg.command != "verify":
-        from . import solver  # noqa: F401
+        from . import solver
     if cfg.command != "solve":
         from . import structure  # noqa: F401
 
@@ -361,7 +377,7 @@ def cmd_batch(cfg: RunConfig, colouring_path: Optional[str] = None, out: Optiona
         status = 0
         # the loop alone holds the outputs, so an exception that leaves it
         # closes them at once, which stops and reaps any workers
-        for index, (text, error, passed) in enumerate(_outputs(cfg, graphs, colourings)):
+        for index, (text, error, passed) in enumerate(_outputs(cfg, solver, graphs, colourings)):
             out.write(text)
             if error is not None:
                 _log().error("graph %d: %s", index, error)
@@ -403,8 +419,10 @@ def cmd_generate(args: argparse.Namespace, out: Optional[TextIO] = None) -> int:
     except DeltaMinError as exc:
         print(f"deltamin generate: {exc}", file=sys.stderr)
         return 2
+    # block by block, so that a long line is never held whole
     for g in emitted:
-        out.write(emit_graph6(g) + "\n")
+        out.writelines(graphlib._g6_blocks(g))
+        out.write("\n")
     return 0
 
 

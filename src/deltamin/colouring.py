@@ -20,7 +20,6 @@ calls and builds nothing.
 from __future__ import annotations
 
 import enum
-import json
 from bisect import insort
 from typing import Iterable, Mapping, NamedTuple
 
@@ -116,11 +115,17 @@ class EdgeColouring:
             new[eid] = c.value
         return EdgeColouring(self.graph, "".join(new))
 
+    # json is imported by the two methods that use it, so that solve never
+    # loads it
     def to_json(self) -> str:
+        import json
+
         return json.dumps({"colours": list(self.codes)})
 
     @classmethod
     def from_json(cls, graph: Graph, text: str) -> "EdgeColouring":
+        import json
+
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:

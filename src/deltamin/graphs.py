@@ -34,7 +34,10 @@ class Graph:
     """Immutable simple graph with maximum degree three.
 
     Edges are normalised to ``(u, v)`` with ``u < v`` and keep their
-    insertion order; the index of an edge in ``edges`` is its id.
+    insertion order; the index of an edge in ``edges`` is its id.  The
+    ``(u, v) -> id`` index behind ``edge_id``, ``has_edge``, ``==`` and
+    ``hash`` is built on first use: a graph that parse_graph6 decodes never
+    needs it to be checked, and most never need it at all.
     """
 
     __slots__ = ("vertex_count", "edges", "adjacency", "_edge_ids")
@@ -43,7 +46,6 @@ class Graph:
         if vertex_count < 0:
             raise DomainError("vertex count must be non-negative")
         normalised: list[tuple[int, int]] = []
-        adjacency: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
         edge_ids: dict[tuple[int, int], int] = {}
         for edge in edges:
             u, v = edge
@@ -63,17 +65,41 @@ class Graph:
             if edge_ids.setdefault(edge, eid) != eid:
                 raise DomainError(f"duplicate edge ({u}, {v})")
             normalised.append(edge)
+        self._frame(vertex_count, normalised)
+        self._edge_ids = edge_ids
+
+    @classmethod
+    def _decoded(cls, vertex_count: int, edges: list[tuple[int, int]]) -> Graph:
+        """The graph of edges that are already normalised, distinct and in
+        range, as graph6 decoding yields them: only the degree guard runs,
+        and the edge index waits for its first use."""
+        g = cls.__new__(cls)
+        g._frame(vertex_count, edges)
+        return g
+
+    def _frame(self, vertex_count: int, edges: list[tuple[int, int]]) -> None:
+        """Set the vertex count, edges and adjacency from normalised edges,
+        after the degree guard, and leave the edge index unbuilt: the part
+        of the build that every graph runs."""
+        adjacency: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
+        for eid, (u, v) in enumerate(edges):
             adjacency[u].append((v, eid))
             adjacency[v].append((u, eid))
-        for vertex, nbrs in enumerate(adjacency):
-            if len(nbrs) > MAX_DEGREE:
-                raise DomainError(
-                    f"vertex {vertex} has degree {len(nbrs)}, maximum is {MAX_DEGREE}"
-                )
+        if vertex_count and max(map(len, adjacency)) > MAX_DEGREE:
+            vertex = next(v for v, nbrs in enumerate(adjacency) if len(nbrs) > MAX_DEGREE)
+            raise DomainError(
+                f"vertex {vertex} has degree {len(adjacency[vertex])}, maximum is {MAX_DEGREE}"
+            )
         self.vertex_count = vertex_count
-        self.edges = tuple(normalised)
-        self.adjacency = tuple(tuple(nbrs) for nbrs in adjacency)
-        self._edge_ids = edge_ids
+        self.edges = tuple(edges)
+        self.adjacency = tuple(map(tuple, adjacency))
+        self._edge_ids: dict[tuple[int, int], int] | None = None
+
+    def _index(self) -> dict[tuple[int, int], int]:
+        """The (u, v) -> id index, built on first use."""
+        if self._edge_ids is None:
+            self._edge_ids = {edge: eid for eid, edge in enumerate(self.edges)}
+        return self._edge_ids
 
     @property
     def edge_count(self) -> int:
@@ -98,14 +124,14 @@ class Graph:
         if u > v:
             u, v = v, u
         try:
-            return self._edge_ids[(u, v)]
+            return self._index()[(u, v)]
         except KeyError:
             raise DomainError(f"no edge ({u}, {v})") from None
 
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
             u, v = v, u
-        return (u, v) in self._edge_ids
+        return (u, v) in self._index()
 
     def is_cubic(self) -> bool:
         return self.vertex_count > 0 and all(
@@ -144,11 +170,11 @@ class Graph:
         return (
             isinstance(other, Graph)
             and self.vertex_count == other.vertex_count
-            and self._edge_ids.keys() == other._edge_ids.keys()
+            and self._index().keys() == other._index().keys()
         )
 
     def __hash__(self) -> int:
-        return hash((self.vertex_count, frozenset(self._edge_ids)))
+        return hash((self.vertex_count, frozenset(self._index())))
 
     def __repr__(self) -> str:
         return f"Graph({self.vertex_count}, m={self.edge_count})"
@@ -210,6 +236,10 @@ def parse_graph6(text: str) -> Graph:
     ``j`` the pairs ``(0,j) .. (j-1,j)`` in order.  Raises GraphFormatError
     with the offending byte offset on malformed input and DomainError when
     the encoded graph has a vertex of degree above three.
+
+    Decoding yields each pair once, as ``u < v < n``, so the graph is built
+    without Graph's range, loop and duplicate checks: only the degree guard
+    runs, and the edge index is left to its first use.
     """
     data = _g6_payload(text)
     pos = _G6_IN_RANGE.match(data).end()
@@ -242,24 +272,43 @@ def parse_graph6(text: str) -> Graph:
                 col += j
                 j += 1
             edges.append((k - col, j))
-    return Graph(n, edges)
+    return Graph._decoded(n, edges)
+
+
+# body bytes per block of _g6_blocks: 64 KiB of text
+_G6_BLOCK = 1 << 16
+
+
+def _g6_blocks(g: Graph) -> Iterator[str]:
+    """A graph's graph6 string (no header) in pieces: the size field, then
+    the body in blocks of _G6_BLOCK bytes.  Each block sets the bits of the
+    edges it holds, taken in column order from one sorted list of their bit
+    positions, so the text held at once is one block however large g is."""
+    n = g.vertex_count
+    if n <= 62:
+        yield chr(n + 63)
+    elif n <= G6_MAX_VERTICES:
+        yield bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]).decode("ascii")
+    else:
+        raise DomainError("graph too large for graph6 encoding")
+    # column-major position of pair (u, v), u < v
+    bits = sorted(v * (v - 1) // 2 + u for u, v in g.edges)
+    nbytes = (n * (n - 1) // 2 + 5) // 6
+    i = 0
+    for start in range(0, nbytes, _G6_BLOCK):
+        block = bytearray(min(_G6_BLOCK, nbytes - start))
+        first = 6 * start
+        last = first + 6 * len(block)
+        while i < len(bits) and bits[i] < last:
+            k = bits[i] - first
+            block[k // 6] |= 32 >> (k % 6)
+            i += 1
+        yield block.translate(_G6_PRINTABLE).decode("ascii")
 
 
 def emit_graph6(g: Graph) -> str:
-    """Encode a graph as a graph6 string (no header)."""
-    n = g.vertex_count
-    if n <= 62:
-        size = bytes([n + 63])
-    elif n <= G6_MAX_VERTICES:
-        size = bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
-    else:
-        raise DomainError("graph too large for graph6 encoding")
-    body = bytearray((n * (n - 1) // 2 + 5) // 6)
-    for u, v in g.edges:
-        # column-major position of pair (u, v), u < v
-        k = v * (v - 1) // 2 + u
-        body[k // 6] |= 32 >> (k % 6)
-    return (size + body.translate(_G6_PRINTABLE)).decode("ascii")
+    """Encode a graph as a graph6 string (no header): _g6_blocks joined."""
+    return "".join(_g6_blocks(g))
 
 
 # ---------------------------------------------------------------------------

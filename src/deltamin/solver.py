@@ -93,28 +93,28 @@ def _three_edge_colouring(g: Graph, excluded: frozenset[int] = frozenset()) -> O
     an explicit stack of branch points and a trail of coloured edges, so no
     recursion limit bounds the graph size.  Forcing, branch rule, colour
     order and symmetry rule are those of the witness contract in the module
-    docstring.
+    docstring.  Only the forcing is a function of its own; colouring an
+    edge, undoing the trail and picking the branch edge run in the loop, and
+    with nothing excluded each vertex's edges are read off g's adjacency.
     """
     ends = g.edges
-    around: list[list[int]] = [[] for _ in range(g.vertex_count)]
     bit_of = [0] * g.edge_count  # colour bit per edge, 0 while uncoloured
-    for e, (u, v) in enumerate(ends):
-        if e in excluded:
-            bit_of[e] = _EXCLUDED
-        else:
-            around[u].append(e)
-            around[v].append(e)
+    if excluded:
+        around: list[list[int]] = [[] for _ in range(g.vertex_count)]
+        for e, (u, v) in enumerate(ends):
+            if e in excluded:
+                bit_of[e] = _EXCLUDED
+            else:
+                around[u].append(e)
+                around[v].append(e)
+    else:
+        around = [[e for _, e in nbrs] for nbrs in g.adjacency]
     used = [0] * g.vertex_count  # bitmask of the colours present at each vertex
     trail: list[int] = []  # coloured edges, in colouring order
 
-    def colour(e: int, bit: int) -> None:
-        bit_of[e] = bit
-        u, v = ends[e]
-        used[u] |= bit
-        used[v] |= bit
-        trail.append(e)
-
     def propagate(e: int) -> bool:
+        """Give every edge left with one free colour that colour, until none
+        is left (True) or an edge has none (False)."""
         todo = [e]
         while todo:
             for w in ends[todo.pop()]:
@@ -126,37 +126,30 @@ def _three_edge_colouring(g: Graph, excluded: frozenset[int] = frozenset()) -> O
                     if not free:
                         return False
                     if not free & (free - 1):
-                        colour(f, free)
+                        bit_of[f] = free
+                        used[x] |= free
+                        used[y] |= free
+                        trail.append(f)
                         todo.append(f)
         return True
-
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            e = trail.pop()
-            bit = bit_of[e]
-            bit_of[e] = 0
-            u, v = ends[e]
-            used[u] &= ~bit
-            used[v] &= ~bit
-
-    def branch_edge() -> Optional[int]:
-        # at a fixpoint an uncoloured edge has two free colours exactly
-        # when one of its ends is coloured, and three otherwise
-        fresh = None
-        for e, (u, v) in enumerate(ends):
-            if not bit_of[e]:
-                if used[u] | used[v]:
-                    return e
-                if fresh is None:
-                    fresh = e
-        return fresh
 
     # branch points: [edge, trail length, colours left, colours in use]
     stack: list[list[int]] = []
     while True:
-        e = branch_edge()
-        if e is None:
-            return bytes(bit_of).translate(_LETTER_OF_BIT).decode()
+        # the branch edge: at a fixpoint an uncoloured edge has two free
+        # colours exactly when one of its ends is coloured, and three
+        # otherwise, so the first with a coloured end, else the first
+        fresh = -1
+        for e, (u, v) in enumerate(ends):
+            if not bit_of[e]:
+                if used[u] | used[v]:
+                    break
+                if fresh < 0:
+                    fresh = e
+        else:
+            if fresh < 0:
+                return bytes(bit_of).translate(_LETTER_OF_BIT).decode()
+            e = fresh
         # forcing adds no colour while fewer than two are in use, so the
         # branch choices on the stack give the colours in use wherever that
         # matters; a third colour forced in leaves one unused, which is kept
@@ -168,13 +161,25 @@ def _three_edge_colouring(g: Graph, excluded: frozenset[int] = frozenset()) -> O
         while stack:
             point = stack[-1]
             e, mark, left, _ = point
-            undo(mark)
+            # undo every colour given since the branch point; each colour
+            # sits once at a vertex, so the order of undoing is free
+            for f in trail[mark:]:
+                bit = bit_of[f]
+                bit_of[f] = 0
+                x, y = ends[f]
+                used[x] &= ~bit
+                used[y] &= ~bit
+            del trail[mark:]
             if not left:
                 stack.pop()
                 continue
             bit = left & -left
             point[2] = left ^ bit
-            colour(e, bit)
+            bit_of[e] = bit
+            u, v = ends[e]
+            used[u] |= bit
+            used[v] |= bit
+            trail.append(e)
             if propagate(e):
                 break
         else:
@@ -355,22 +360,29 @@ def _matchings_of_size(
 
 
 def _solve_exact_connected(g: Graph) -> SolveResult:
+    # alpha, beta and gamma are matchings of at most n/2 edges each, so at
+    # least m - 3 floor(n/2) edges need delta: on a subcubic graph one edge
+    # exactly when n is odd and m = (3n - 1)/2, else none
+    k = max(0, g.edge_count - 3 * (g.vertex_count // 2))
+    if not k:
+        # size zero has one matching, the empty one: one plain search
+        codes = _three_edge_colouring(g)
+        if codes is not None:
+            return SolveResult(0, EdgeColouring(g, codes), Method.EXACT)
+        k = 1
     # an edge both of whose ends have degree at most two never needs delta:
     # a delta edge in a minimum colouring always has a fully saturated end
+    adjacency = g.adjacency
     candidates = [
         e
         for e, (u, v) in enumerate(g.edges)
-        if g.degree(u) == 3 or g.degree(v) == 3
+        if len(adjacency[u]) == 3 or len(adjacency[v]) == 3
     ]
     # parity lemma: in a 3-edge-colouring of G - e both ends of e miss the
     # same colour, which e could then take; so a cubic G that fails k=0
     # fails k=1 too
     cubic = g.is_cubic()
     blocks: list[tuple[list[int], int]] = []
-    # alpha, beta and gamma are matchings of at most n/2 edges each, so at
-    # least m - 3 floor(n/2) edges need delta: on a subcubic graph one edge
-    # exactly when n is odd and m = (3n - 1)/2, else none
-    k = max(0, g.edge_count - 3 * (g.vertex_count // 2))
     while k <= len(candidates):
         if k == 2:
             # a matching that works leaves at least s(H) delta edges in

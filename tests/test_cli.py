@@ -4,6 +4,7 @@ import errno
 import io
 import json
 import os
+import random
 import re
 import resource
 import signal
@@ -61,6 +62,35 @@ def test_solve_petersen_json(tmp_path, capsys, monkeypatch):
     assert rec["s"] == 2
     assert rec["method"] == "Exact"
     assert rec["colours"].count("d") == 2
+
+
+def json_record(index, g, result):
+    """A solve record as json writes it, keys sorted."""
+    rec = {
+        "index": index,
+        "n": g.vertex_count,
+        "m": g.edge_count,
+        "s": result.s_value,
+        "method": result.method.value,
+        "colours": list(result.witness.codes),
+    }
+    return json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("method", list(solver.Method), ids=lambda m: m.value)
+def test_solve_line_is_the_json_record(method):
+    rng = random.Random(method.value)
+    big = random_subcubic(1000, 4)
+    cases = [
+        (0, Graph(0, []), 0),  # "colours":[]
+        (3, Graph(5, []), 0),
+        (0, make_named("k4"), 0),
+        (1234567, big, 98765),  # multi-digit index, n, m and s
+    ]
+    for index, g, s in cases:
+        codes = "".join(rng.choice("abgd") for _ in range(g.edge_count))
+        result = solver.SolveResult(s, EdgeColouring(g, codes), method)
+        assert cli._solve_line(index, g, result) == json_record(index, g, result)
 
 
 def test_solve_empty_input(tmp_path, capsys, monkeypatch):
@@ -345,7 +375,8 @@ def test_solve_builds_no_pool_without_work(tmp_path):
     one = write(tmp_path, "one.g6", "C~\n")
     loaded = _modules_loaded_by(["solve", empty, "--jobs", "2"], ["solve", one, "--jobs", "1"])
     assert "deltamin.solver" in loaded
-    assert not loaded & {"deltamin.workers", "concurrent.futures", "deltamin.structure", "deltamin.checks"}
+    # solve records are written without json
+    assert not loaded & {"deltamin.workers", "concurrent.futures", "deltamin.structure", "deltamin.checks", "json"}
 
 
 @pytest.mark.parametrize("argv", [["--named", "k4"], ["--cubic", "6"], ["--random", "8"]], ids=lambda a: a[0])
@@ -363,7 +394,9 @@ def test_analyze_and_verify_load_the_structure_layer(tmp_path, command):
     grf = write(tmp_path, "in.g6", "C~\n")
     col = write(tmp_path, "colours.jsonl", witness_line("C~") + "\n")
     argv = [command, grf] + (["--colouring", col] if command == "verify" else [])
-    assert "deltamin.structure" in _modules_loaded_by(argv)
+    loaded = _modules_loaded_by(argv)
+    assert "deltamin.structure" in loaded
+    assert "json" in loaded
 
 
 @pytest.mark.parametrize("command", ["solve", "analyze", "verify"])
@@ -981,6 +1014,19 @@ def test_generate_random_deterministic(capsys, monkeypatch):
     graphs = [parse_graph6(ln) for ln in first.splitlines()]
     assert len(graphs) == 3
     assert all(g.vertex_count == 9 for g in graphs)
+
+
+def test_generate_holds_one_block_of_a_long_line(tmp_path):
+    # a 33 MB line (20,000 vertices); when the line was built whole, three
+    # copies of it were held and the process peaked at 125 MB, where it now
+    # peaks at about 32 MB (CPython 3.11, Linux x86-64)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "deltamin", "generate", "--random", "20000"],
+        capture_output=True, text=True, timeout=120,
+    )
+    status, peak_kib = map(int, proc.stdout.split())
+    assert status == 0, proc.stderr
+    assert peak_kib < 64 * 1024, peak_kib
 
 
 def test_generate_errors_cleanly(capsys, monkeypatch):

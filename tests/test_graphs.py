@@ -33,7 +33,8 @@ from deltamin import (
     parse_graph6,
     random_subcubic,
 )
-from deltamin.graphs import NAMED_GRAPHS, _g6_payload, _g6_read_size
+from deltamin import graphs
+from deltamin.graphs import G6_MAX_VERTICES, NAMED_GRAPHS, _G6_PRINTABLE, _g6_payload, _g6_read_size
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -222,6 +223,128 @@ def test_graph6_degree_guard_names_vertex():
     with pytest.raises(DomainError) as err:
         parse_graph6(text)
     assert "0" in str(err.value)
+
+
+@st.composite
+def subcubic_graphs(draw, max_n=130):
+    """A graph with maximum degree three: drawn pairs kept in drawn order
+    while they stay simple and subcubic, so edge ids are not in graph6
+    order; n runs past 62 into graph6's long size form."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    if n < 2:
+        return Graph(n, [])
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    degree = [0] * n
+    seen = set()
+    edges = []
+    for u, v in pairs:
+        key = (min(u, v), max(u, v))
+        if u != v and key not in seen and degree[u] < 3 and degree[v] < 3:
+            seen.add(key)
+            degree[u] += 1
+            degree[v] += 1
+            edges.append((u, v))
+    return Graph(n, edges)
+
+
+@pytest.fixture
+def census_lines(monkeypatch):
+    """The graph6 lines of the benchmark's seed-1 census corpus (2,040
+    graphs on 8-14 vertices), built by bench/corpus.py, imported with bench/
+    on sys.path and only read."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import corpus
+
+    yield [it.g6 for it in corpus.census(random.Random(1), relabellings=10, randoms=1000)]
+    sys.modules.pop("corpus", None)
+
+
+def assert_same_graph(decoded: Graph, checked: Graph) -> None:
+    """The decoder's graph and Graph's own build of the same edges agree on
+    every read, and the decoder's edge index waits for its first use."""
+    assert decoded._edge_ids is None
+    n = checked.vertex_count
+    assert decoded.vertex_count == n
+    assert decoded.edges == checked.edges
+    assert decoded.adjacency == checked.adjacency
+    assert decoded.is_cubic() == checked.is_cubic()
+    assert decoded._edge_ids is None
+    assert decoded.has_edge(0, 1) == checked.has_edge(0, 1)
+    index = decoded._edge_ids
+    assert index is not None
+    for eid, (u, v) in enumerate(checked.edges):
+        assert decoded.edge_id(v, u) == checked.edge_id(u, v) == eid
+    for u in range(min(n, 20)):
+        for v in range(n):
+            assert decoded.has_edge(u, v) == checked.has_edge(u, v)
+            if u != v and not checked.has_edge(u, v):
+                with pytest.raises(DomainError, match=r"^no edge"):
+                    decoded.edge_id(u, v)
+    assert decoded._edge_ids is index  # built once
+    assert decoded == checked and checked == decoded
+    assert hash(decoded) == hash(checked)
+    assert decoded != Graph(n + 1, checked.edges)
+
+
+@given(g=subcubic_graphs())
+@settings(max_examples=150, deadline=None)
+def test_decoded_graph_equals_the_checked_graph(g):
+    decoded = parse_graph6(emit_graph6(g))
+    assert_same_graph(decoded, Graph(decoded.vertex_count, list(decoded.edges)))
+    assert decoded == g
+
+
+def test_decoded_graph_equals_the_checked_graph_on_the_census_corpus(census_lines):
+    assert len(census_lines) == 2040
+    for line in census_lines:
+        decoded = parse_graph6(line)
+        assert_same_graph(decoded, Graph(decoded.vertex_count, list(decoded.edges)))
+
+
+def test_decoded_graph_builds_its_edge_index_on_first_use():
+    for read in (lambda g: g.edge_id(0, 1), lambda g: g.has_edge(2, 0), lambda g: g == make_named("k4"), hash):
+        g = parse_graph6("C~")
+        assert g._edge_ids is None
+        read(g)
+        assert g._edge_ids == {(0, 1): 0, (0, 2): 1, (1, 2): 2, (0, 3): 3, (1, 3): 4, (2, 3): 5}
+
+
+def frozen_emit_graph6(g: Graph) -> str:
+    """Frozen copy of emit_graph6 before it was built from blocks: the
+    whole body in one bytearray."""
+    n = g.vertex_count
+    if n <= 62:
+        size = bytes([n + 63])
+    elif n <= G6_MAX_VERTICES:
+        size = bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
+    else:
+        raise DomainError("graph too large for graph6 encoding")
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for u, v in g.edges:
+        k = v * (v - 1) // 2 + u
+        body[k // 6] |= 32 >> (k % 6)
+    return (size + body.translate(_G6_PRINTABLE)).decode("ascii")
+
+
+@given(g=subcubic_graphs(), block=st.sampled_from([1, 2, 5, 7, 64, 1 << 16]))
+@settings(max_examples=200, deadline=None)
+def test_graph6_emit_matches_frozen_copy(g, block):
+    # small blocks put block boundaries inside columns
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_G6_BLOCK", block)
+        pieces = list(graphs._g6_blocks(g))
+        assert emit_graph6(g) == "".join(pieces) == frozen_emit_graph6(g)
+    assert all(len(p) <= block for p in pieces[1:])
+
+
+def test_graph6_emit_matches_frozen_copy_across_blocks():
+    for g in [random_subcubic(n, 3) for n in (1000, 3000)] + [make_named("cycle", 1200)]:
+        pieces = list(graphs._g6_blocks(g))
+        assert len(pieces) > 2
+        assert "".join(pieces) == emit_graph6(g) == frozen_emit_graph6(g)
+    with pytest.raises(DomainError, match="too large"):
+        emit_graph6(Graph(G6_MAX_VERTICES + 1, []))
 
 
 def test_graph6_error_offsets():

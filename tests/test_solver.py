@@ -546,9 +546,14 @@ def test_overfull_start_keeps_witnesses_and_skips_size_zero(monkeypatch):
     assert len(graphs) > 300
     for g in graphs:
         assert solved(g) == frozen_solve(g)
+    # the size of the first matching whose complement is searched: size
+    # zero is one plain search, so levels are seen through the search
     levels = []
-    plain = solver._matchings_of_size
-    monkeypatch.setattr(solver, "_matchings_of_size", lambda h, *rest: levels.append((h, rest[1])) or plain(h, *rest))
+    plain = solver._three_edge_colouring
+    monkeypatch.setattr(
+        solver, "_three_edge_colouring",
+        lambda h, excluded=frozenset(): levels.append((h, len(excluded))) or plain(h, excluded),
+    )
     for g in graphs:
         levels.clear()
         solve_exact(g)
