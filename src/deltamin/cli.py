@@ -39,7 +39,6 @@ from .graphs import Graph, enumerate_cubic, make_named, parse_edge_list, parse_g
 
 if TYPE_CHECKING:
     import logging
-    from types import ModuleType
 
     from .solver import SolveResult
 
@@ -212,7 +211,10 @@ def _dot_block(index: int, g: Graph, result: SolveResult) -> str:
     return f"graph g{index} {{\n  // {stats}\n{body}}}\n"
 
 
-def _render(cfg: RunConfig, solver: ModuleType, index: int, g: Graph) -> Output:
+def _render(cfg: RunConfig, index: int, g: Graph) -> Output:
+    # cmd_batch has loaded the solver, so this is a lookup
+    from . import solver
+
     if g.vertex_count <= cfg.exact_limit:
         result = solver.solve_exact(g)
     else:
@@ -269,9 +271,7 @@ def _error_output(cfg: RunConfig, index: int, message: str, offset: Optional[int
     return (_json_line(rec) if cfg.output == "json" else ""), message, False
 
 
-def _graph_output(
-    cfg: RunConfig, solver: Optional[ModuleType], index: int, payload: str, colouring: Optional[str]
-) -> Output:
+def _graph_output(cfg: RunConfig, index: int, payload: str, colouring: Optional[str]) -> Output:
     try:
         g = parse_graph6(payload) if cfg.format == "graph6" else parse_edge_list(payload)
     except DeltaMinError as exc:
@@ -279,7 +279,7 @@ def _graph_output(
     try:
         if cfg.command == "verify":
             return _verify_output(cfg, index, g, colouring)
-        return _render(cfg, solver, index, g)
+        return _render(cfg, index, g)
     except Exception as exc:  # one graph's failure must not lose the rest of the batch
         _log().exception("graph %d", index)
         return _error_output(cfg, index, f"{type(exc).__name__}: {exc}", None)
@@ -318,9 +318,7 @@ def _chunked(rows: Iterator[tuple], size: int) -> Iterator[list[tuple]]:
         yield chunk
 
 
-def _outputs(
-    cfg: RunConfig, solver: Optional[ModuleType], graphs: _Lines | list[str], colourings: _Lines | list[str]
-) -> Iterator[Output]:
+def _outputs(cfg: RunConfig, graphs: _Lines | list[str], colourings: _Lines | list[str]) -> Iterator[Output]:
     """Each graph's output, in input order; verify checks the i-th graph
     against the i-th colouring, or None past the last.  Above --jobs 1
     forked workers are handed contiguous chunks of ceil(n / (4 * jobs))
@@ -334,7 +332,7 @@ def _outputs(
     workers, or that runs where os.fork does not exist, runs in this
     process.  A graph's text depends only on its line and the config, so
     output does not depend on --jobs."""
-    run = functools.partial(_graph_output, cfg, solver)
+    run = functools.partial(_graph_output, cfg)
     # zip_longest reads both inputs to their end, where _Lines checks its count
     pairs = itertools.zip_longest(graphs, colourings)
     rows = ((index, graph, colouring) for index, (graph, colouring) in enumerate(pairs))
@@ -355,11 +353,9 @@ def cmd_batch(cfg: RunConfig, colouring_path: Optional[str] = None, out: Optiona
     non-blank line, an edge-list file a single graph; verify checks each
     graph against the colouring line at its position in colouring_path,
     which may hold fewer lines than there are graphs but not more."""
-    # imported before the workers fork, so that they do not import them
-    # again; each graph's run is handed the solver, not made to import it
-    solver = None
+    # imported before the workers fork, so that they do not import them again
     if cfg.command != "verify":
-        from . import solver
+        from . import solver  # noqa: F401
     if cfg.command != "solve":
         from . import structure  # noqa: F401
 
@@ -377,7 +373,7 @@ def cmd_batch(cfg: RunConfig, colouring_path: Optional[str] = None, out: Optiona
         status = 0
         # the loop alone holds the outputs, so an exception that leaves it
         # closes them at once, which stops and reaps any workers
-        for index, (text, error, passed) in enumerate(_outputs(cfg, solver, graphs, colourings)):
+        for index, (text, error, passed) in enumerate(_outputs(cfg, graphs, colourings)):
             out.write(text)
             if error is not None:
                 _log().error("graph %d: %s", index, error)

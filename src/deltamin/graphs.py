@@ -68,28 +68,20 @@ class Graph:
         self._frame(vertex_count, normalised)
         self._edge_ids = edge_ids
 
-    @classmethod
-    def _decoded(cls, vertex_count: int, edges: list[tuple[int, int]]) -> Graph:
-        """The graph of edges that are already normalised, distinct and in
-        range, as graph6 decoding yields them: only the degree guard runs,
-        and the edge index waits for its first use."""
-        g = cls.__new__(cls)
-        g._frame(vertex_count, edges)
-        return g
-
     def _frame(self, vertex_count: int, edges: list[tuple[int, int]]) -> None:
-        """Set the vertex count, edges and adjacency from normalised edges,
-        after the degree guard, and leave the edge index unbuilt: the part
-        of the build that every graph runs."""
+        """Set the vertex count, edges and adjacency from edges that are
+        normalised, distinct and in range, after the degree guard, and leave
+        the edge index unbuilt: the part of the build that every graph runs,
+        and all of it that parse_graph6 runs."""
         adjacency: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
         for eid, (u, v) in enumerate(edges):
             adjacency[u].append((v, eid))
             adjacency[v].append((u, eid))
-        if vertex_count and max(map(len, adjacency)) > MAX_DEGREE:
-            vertex = next(v for v, nbrs in enumerate(adjacency) if len(nbrs) > MAX_DEGREE)
-            raise DomainError(
-                f"vertex {vertex} has degree {len(adjacency[vertex])}, maximum is {MAX_DEGREE}"
-            )
+        for vertex, nbrs in enumerate(adjacency):
+            if len(nbrs) > MAX_DEGREE:
+                raise DomainError(
+                    f"vertex {vertex} has degree {len(nbrs)}, maximum is {MAX_DEGREE}"
+                )
         self.vertex_count = vertex_count
         self.edges = tuple(edges)
         self.adjacency = tuple(map(tuple, adjacency))
@@ -272,7 +264,9 @@ def parse_graph6(text: str) -> Graph:
                 col += j
                 j += 1
             edges.append((k - col, j))
-    return Graph._decoded(n, edges)
+    g = Graph.__new__(Graph)
+    g._frame(n, edges)
+    return g
 
 
 # body bytes per block of _g6_blocks: 64 KiB of text

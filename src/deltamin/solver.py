@@ -95,20 +95,13 @@ def _three_edge_colouring(g: Graph, excluded: frozenset[int] = frozenset()) -> O
     order and symmetry rule are those of the witness contract in the module
     docstring.  Only the forcing is a function of its own; colouring an
     edge, undoing the trail and picking the branch edge run in the loop, and
-    with nothing excluded each vertex's edges are read off g's adjacency.
+    each vertex's edges are read off g's adjacency, in edge-id order.
     """
     ends = g.edges
     bit_of = [0] * g.edge_count  # colour bit per edge, 0 while uncoloured
-    if excluded:
-        around: list[list[int]] = [[] for _ in range(g.vertex_count)]
-        for e, (u, v) in enumerate(ends):
-            if e in excluded:
-                bit_of[e] = _EXCLUDED
-            else:
-                around[u].append(e)
-                around[v].append(e)
-    else:
-        around = [[e for _, e in nbrs] for nbrs in g.adjacency]
+    for e in excluded:
+        bit_of[e] = _EXCLUDED
+    around = [[e for _, e in nbrs if e not in excluded] for nbrs in g.adjacency]
     used = [0] * g.vertex_count  # bitmask of the colours present at each vertex
     trail: list[int] = []  # coloured edges, in colouring order
 
