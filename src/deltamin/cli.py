@@ -11,11 +11,12 @@ workers forked with os.fork that are sent chunks of graphs one at a time;
 a dead worker, or one that cannot be forked, stops the batch (exit 2), and
 without os.fork the batch runs here.  A graph6 file is counted first, so
 that the chunk size and verify's check for surplus colourings come before
-any output, and is then read line by line as its graphs are run, so
-memory does not grow with its length; standard input and FIFOs are read
-whole.  Before the workers fork cmd_batch imports the solver unless it
-verifies, and the structure layer unless it solves; generate starts
-without either, and only suite loads the property checks.
+any output; each walk of it then opens it again and reads it line by line
+as its graphs are run, so memory does not grow with its length.  Standard
+input and other inputs that cannot be read twice (a FIFO, <(...)) are read
+whole and held as one string.  Before the workers fork cmd_batch imports
+the solver unless it verifies, and the structure layer unless it solves;
+generate starts without either, and only suite loads the property checks.
 
 All records are emitted in input order with sorted keys, so output is
 byte-stable for a fixed (input, config, seed).
@@ -24,8 +25,8 @@ byte-stable for a fixed (input, config, seed).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
+import io
 import itertools
 import os
 import random
@@ -43,32 +44,6 @@ if TYPE_CHECKING:
     from .solver import SolveResult
 
 DEFAULT_EXACT_LIMIT = 14
-
-
-class RunConfig:
-    """The settings of one solve, verify, analyze or suite run."""
-
-    def __init__(
-        self,
-        command: str,
-        input_path: Optional[str] = None,
-        format: str = "graph6",
-        output: str = "json",
-        exact_limit: int = DEFAULT_EXACT_LIMIT,
-        seed: int = 0,
-        jobs: int = 1,
-    ) -> None:
-        if exact_limit < 4:
-            raise ValueError("--exact-limit must be at least 4")
-        if jobs < 1:
-            raise ValueError("--jobs must be at least 1")
-        self.command = command
-        self.input_path = input_path
-        self.format = format
-        self.output = output
-        self.exact_limit = exact_limit
-        self.seed = seed
-        self.jobs = jobs
 
 
 def _log() -> logging.Logger:
@@ -116,57 +91,47 @@ class _Lines:
     """The non-blank lines of a file, or of standard input for "-", decoded
     as _read_text decodes it and split as str.splitlines splits it.  Their
     number, len(), is known before the first is read: a regular file is read
-    once to count them and again, line by line, as they are used; standard
-    input and files that cannot be read twice (a FIFO) are read whole.  A
-    regular file whose count changes in between stops the batch."""
+    once to count them and read again, line by line, by each walk, which
+    opens its own reader; standard input and other inputs that cannot be
+    read twice (a FIFO, <(...)) are held as one string.  A regular file
+    whose count changes before a walk ends stops the batch."""
 
     def __init__(self, path: str) -> None:
         self.path = path
-        self._file: Optional[TextIO] = None
-        self._held: Optional[list[str]] = None
-        if path == "-":
-            self._held = list(_nonblank([_read_text(path)]))
-            self._count = len(self._held)
-            return
+        self._text: Optional[str] = None
         try:
-            # with newline="" a piece ends at "\n", "\r" or "\r\n", never
-            # between "\r" and "\n"
-            self._file = open(path, encoding="utf-8", errors="surrogateescape", newline="")
-            if stat.S_ISREG(os.fstat(self._file.fileno()).st_mode):
-                self._count = sum(1 for _ in _nonblank(self._file))
-                self._file.seek(0)
-            else:
-                self._held = list(_nonblank(self._file))
-                self._count = len(self._held)
+            if path == "-" or not stat.S_ISREG(os.stat(path).st_mode):
+                self._text = _read_text(path)
+            with self._reader() as reader:
+                self._count = sum(1 for _ in _nonblank(reader))
         except OSError as exc:
-            self.close()
             raise BatchError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+    def _reader(self) -> TextIO:
+        """A new reader of the input, from its start."""
+        # with newline="" a piece ends at "\n", "\r" or "\r\n", never
+        # between "\r" and "\n"
+        if self._text is not None:
+            return io.StringIO(self._text, newline="")
+        return open(self.path, encoding="utf-8", errors="surrogateescape", newline="")
 
     def __len__(self) -> int:
         return self._count
 
     def __iter__(self) -> Iterator[str]:
-        if self._held is not None:
-            yield from self._held
-            return
+        try:
+            reader = self._reader()
+        except OSError as exc:
+            raise BatchError(f"cannot read {self.path}: {exc.strerror or exc}") from None
         read = 0
-        for line in _nonblank(self._file):
-            read += 1
-            if read > self._count:
-                break
-            yield line
+        with reader:
+            for line in _nonblank(reader):
+                read += 1
+                if read > self._count:
+                    break
+                yield line
         if read != self._count:
             raise BatchError(f"{self.path} changed while it was read ({self._count} lines when counted)")
-
-    def close(self) -> None:
-        if self._file is not None:
-            self._file.close()
-
-    def __enter__(self) -> _Lines:
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
 
 
 # ---------------------------------------------------------------------------
@@ -211,20 +176,20 @@ def _dot_block(index: int, g: Graph, result: SolveResult) -> str:
     return f"graph g{index} {{\n  // {stats}\n{body}}}\n"
 
 
-def _render(cfg: RunConfig, index: int, g: Graph) -> Output:
+def _render(args: argparse.Namespace, index: int, g: Graph) -> Output:
     # cmd_batch has loaded the solver, so this is a lookup
     from . import solver
 
-    if g.vertex_count <= cfg.exact_limit:
+    if g.vertex_count <= args.exact_limit:
         result = solver.solve_exact(g)
     else:
-        result = solver.heuristic_descent(g, seed=cfg.seed)
-    if cfg.output == "csv":
+        result = solver.heuristic_descent(g, seed=args.seed)
+    if args.output == "csv":
         row = f"g{index},{g.vertex_count},{g.edge_count},{result.s_value},{result.method.value}\n"
         return row, None, True
-    if cfg.output == "dot":
+    if args.output == "dot":
         return _dot_block(index, g, result), None, True
-    if cfg.command != "analyze":
+    if args.command != "analyze":
         return _solve_line(index, g, result), None, True
     from .structure import verify_theorem1
 
@@ -249,40 +214,40 @@ def _render(cfg: RunConfig, index: int, g: Graph) -> Output:
     return _json_line(rec), None, report.all_pass
 
 
-def _verify_output(cfg: RunConfig, index: int, g: Graph, colouring: Optional[str]) -> Output:
+def _verify_output(args: argparse.Namespace, index: int, g: Graph, colouring: Optional[str]) -> Output:
     if colouring is None:
-        return _error_output(cfg, index, "no colouring line for this graph", None)
+        return _error_output(args, index, "no colouring line for this graph", None)
     from .colouring import EdgeColouring
     from .structure import verify_theorem1
 
     try:
         report = verify_theorem1(EdgeColouring.from_json(g, colouring))
     except DeltaMinError as exc:
-        return _error_output(cfg, index, str(exc), None)
+        return _error_output(args, index, str(exc), None)
     rec = report.to_dict()
     rec["index"] = index
     return _json_line(rec), None, report.all_pass
 
 
-def _error_output(cfg: RunConfig, index: int, message: str, offset: Optional[int]) -> Output:
+def _error_output(args: argparse.Namespace, index: int, message: str, offset: Optional[int]) -> Output:
     rec: dict = {"index": index, "error": message}
-    if cfg.command == "solve":
+    if args.command == "solve":
         rec["offset"] = offset
-    return (_json_line(rec) if cfg.output == "json" else ""), message, False
+    return (_json_line(rec) if args.output == "json" else ""), message, False
 
 
-def _graph_output(cfg: RunConfig, index: int, payload: str, colouring: Optional[str]) -> Output:
+def _graph_output(args: argparse.Namespace, index: int, payload: str, colouring: Optional[str]) -> Output:
     try:
-        g = parse_graph6(payload) if cfg.format == "graph6" else parse_edge_list(payload)
+        g = parse_graph6(payload) if args.format == "graph6" else parse_edge_list(payload)
     except DeltaMinError as exc:
-        return _error_output(cfg, index, str(exc), exc.offset if isinstance(exc, GraphFormatError) else None)
+        return _error_output(args, index, str(exc), exc.offset if isinstance(exc, GraphFormatError) else None)
     try:
-        if cfg.command == "verify":
-            return _verify_output(cfg, index, g, colouring)
-        return _render(cfg, index, g)
+        if args.command == "verify":
+            return _verify_output(args, index, g, colouring)
+        return _render(args, index, g)
     except Exception as exc:  # one graph's failure must not lose the rest of the batch
         _log().exception("graph %d", index)
-        return _error_output(cfg, index, f"{type(exc).__name__}: {exc}", None)
+        return _error_output(args, index, f"{type(exc).__name__}: {exc}", None)
 
 
 # A chunk for a worker closes at this much input text (graph6 is ASCII, so
@@ -318,7 +283,9 @@ def _chunked(rows: Iterator[tuple], size: int) -> Iterator[list[tuple]]:
         yield chunk
 
 
-def _outputs(cfg: RunConfig, graphs: _Lines | list[str], colourings: _Lines | list[str]) -> Iterator[Output]:
+def _outputs(
+    args: argparse.Namespace, graphs: _Lines | list[str], colourings: _Lines | list[str]
+) -> Iterator[Output]:
     """Each graph's output, in input order; verify checks the i-th graph
     against the i-th colouring, or None past the last.  Above --jobs 1
     forked workers are handed contiguous chunks of ceil(n / (4 * jobs))
@@ -332,11 +299,11 @@ def _outputs(cfg: RunConfig, graphs: _Lines | list[str], colourings: _Lines | li
     workers, or that runs where os.fork does not exist, runs in this
     process.  A graph's text depends only on its line and the config, so
     output does not depend on --jobs."""
-    run = functools.partial(_graph_output, cfg)
+    run = functools.partial(_graph_output, args)
     # zip_longest reads both inputs to their end, where _Lines checks its count
     pairs = itertools.zip_longest(graphs, colourings)
     rows = ((index, graph, colouring) for index, (graph, colouring) in enumerate(pairs))
-    size, workers = _chunks(len(graphs), cfg.jobs)
+    size, workers = _chunks(len(graphs), args.jobs)
     if workers < 2 or not hasattr(os, "fork"):
         yield from itertools.starmap(run, rows)
         return
@@ -347,38 +314,38 @@ def _outputs(cfg: RunConfig, graphs: _Lines | list[str], colourings: _Lines | li
         yield from chunk
 
 
-def cmd_batch(cfg: RunConfig, colouring_path: Optional[str] = None, out: Optional[TextIO] = None) -> int:
+def cmd_batch(args: argparse.Namespace) -> int:
     """Solve, analyze (solve, verify the witness and report parity) or verify
     each graph, one record per graph.  graph6 input holds one graph per
     non-blank line, an edge-list file a single graph; verify checks each
-    graph against the colouring line at its position in colouring_path,
-    which may hold fewer lines than there are graphs but not more."""
+    graph against the colouring line at its position in args.colouring,
+    which may hold fewer lines than there are graphs but not more.  Both
+    inputs are counted here, and each is opened again only by its walk,
+    which closes it when it ends or is dropped."""
     # imported before the workers fork, so that they do not import them again
-    if cfg.command != "verify":
+    if args.command != "verify":
         from . import solver  # noqa: F401
-    if cfg.command != "solve":
+    if args.command != "solve":
         from . import structure  # noqa: F401
 
-    if cfg.input_path == "-" and colouring_path == "-":
+    if args.input_path == "-" and args.colouring == "-":
         raise BatchError("graphs and colourings cannot both be read from standard input")
-    path = cfg.input_path or "-"
-    with contextlib.ExitStack() as inputs:
-        graphs = inputs.enter_context(_Lines(path)) if cfg.format == "graph6" else [_read_text(path)]
-        colourings = inputs.enter_context(_Lines(colouring_path)) if colouring_path is not None else []
-        if len(colourings) > len(graphs):
-            raise BatchError(f"{colouring_path} holds {len(colourings)} colourings for {len(graphs)} graphs")
-        out = out if out is not None else sys.stdout
-        if cfg.output == "csv":
-            out.write("name,n,m,s,method\n")
-        status = 0
-        # the loop alone holds the outputs, so an exception that leaves it
-        # closes them at once, which stops and reaps any workers
-        for index, (text, error, passed) in enumerate(_outputs(cfg, graphs, colourings)):
-            out.write(text)
-            if error is not None:
-                _log().error("graph %d: %s", index, error)
-            if not passed:
-                status = 1
+    graphs = _Lines(args.input_path) if args.format == "graph6" else [_read_text(args.input_path)]
+    colourings = _Lines(args.colouring) if args.colouring is not None else []
+    if len(colourings) > len(graphs):
+        raise BatchError(f"{args.colouring} holds {len(colourings)} colourings for {len(graphs)} graphs")
+    out = sys.stdout
+    if args.output == "csv":
+        out.write("name,n,m,s,method\n")
+    status = 0
+    # the loop alone holds the outputs, so an exception that leaves it
+    # closes them at once, which stops and reaps any workers
+    for index, (text, error, passed) in enumerate(_outputs(args, graphs, colourings)):
+        out.write(text)
+        if error is not None:
+            _log().error("graph %d: %s", index, error)
+        if not passed:
+            status = 1
     return status
 
 
@@ -386,12 +353,17 @@ def cmd_batch(cfg: RunConfig, colouring_path: Optional[str] = None, out: Optiona
 # generate
 
 
-def cmd_generate(args: argparse.Namespace, out: Optional[TextIO] = None) -> int:
+def cmd_generate(args: argparse.Namespace) -> int:
     """Write each graph as it is made.  Every argument is checked before the
     first graph, so an error exits 2 with no output."""
-    out = out if out is not None else sys.stdout
+    out = sys.stdout
     emitted: Iterable[Graph]
     try:
+        # each of these sets up one kind of graph, and is refused with another
+        for flag, value, kind in (("size", args.size, "named"), ("count", args.count, "random"),
+                                  ("seed", args.seed, "random")):
+            if value is not None and getattr(args, kind) is None:
+                raise DomainError(f"--{flag} applies only to --{kind}")
         if args.named is not None:
             # cycle k has k vertices, flower k has 4k, the fixed graphs few
             n = {"cycle": 1, "flower": 4}.get(args.named.strip().lower(), 0) * (args.size or 0)
@@ -401,16 +373,17 @@ def cmd_generate(args: argparse.Namespace, out: Optional[TextIO] = None) -> int:
         elif args.cubic is not None:
             emitted = enumerate_cubic(args.cubic)
         else:
-            if args.count < 0:
+            count = 1 if args.count is None else args.count
+            if count < 0:
                 raise DomainError("--count must be non-negative")
             if args.random < 1:
                 raise DomainError("need at least one vertex")
             if args.random > graphlib.G6_MAX_VERTICES:
                 raise DomainError(f"graph6 encodes at most {graphlib.G6_MAX_VERTICES} vertices, not {args.random}")
-            rng = random.Random(f"generate:{args.seed}")
+            rng = random.Random(f"generate:{args.seed or 0}")
             emitted = (
                 random_subcubic(args.random, rng.randrange(2**31))
-                for _ in range(args.count)
+                for _ in range(count)
             )
     except DeltaMinError as exc:
         print(f"deltamin generate: {exc}", file=sys.stderr)
@@ -426,23 +399,23 @@ def cmd_generate(args: argparse.Namespace, out: Optional[TextIO] = None) -> int:
 # suite
 
 
-def cmd_suite(cfg: RunConfig, out: Optional[TextIO] = None) -> int:
+def cmd_suite(args: argparse.Namespace) -> int:
     """Run the property checks over the cubic corpus up to n=10, solved once,
     and seeded random graphs and colourings."""
     # imported here so that the other commands do not load the checks
     from . import checks
 
-    out = out if out is not None else sys.stdout
+    out = sys.stdout
     out.write(
         "deltamin suite | enumeration: isomorphism-free "
         "(orderly breadth-first generation) | "
-        f"seed={cfg.seed} exact-limit={cfg.exact_limit}\n"
+        f"seed={args.seed} exact-limit={args.exact_limit}\n"
     )
     corpus = checks.cubic_corpus()
     needs = max(corpus)
-    witnesses = checks.solve_corpus(corpus) if needs <= cfg.exact_limit else {}
-    graphs = checks.random_graphs(random.Random(f"suite:{cfg.seed}"), 100, range(4, 11))
-    colourings = checks.random_improper_colourings(random.Random(f"suite-properize:{cfg.seed}"), 200, range(2, 13))
+    witnesses = checks.solve_corpus(corpus) if needs <= args.exact_limit else {}
+    graphs = checks.random_graphs(random.Random(f"suite:{args.seed}"), 100, range(4, 11))
+    colourings = checks.random_improper_colourings(random.Random(f"suite-properize:{args.seed}"), 200, range(2, 13))
     # (name, exact solving needed up to n, check, PASS detail given the count checked)
     suites = (
         ("golden-values", needs, checks.golden_values, "{} named graphs"),
@@ -456,8 +429,8 @@ def cmd_suite(cfg: RunConfig, out: Optional[TextIO] = None) -> int:
     )
     status = 0
     for name, limit, run, detail in suites:
-        if limit > cfg.exact_limit:
-            out.write(f"suite {name}: SKIPPED (needs exact solving up to n={limit}, exact-limit={cfg.exact_limit})\n")
+        if limit > args.exact_limit:
+            out.write(f"suite {name}: SKIPPED (needs exact solving up to n={limit}, exact-limit={args.exact_limit})\n")
             continue
         checked, failures = run()
         if failures:
@@ -529,13 +502,15 @@ def build_parser() -> argparse.ArgumentParser:
     what.add_argument("--named", metavar="NAME", help=f"one of: {', '.join(graphlib.NAMED_GRAPHS)}")
     what.add_argument("--cubic", type=int, metavar="N", help="all connected cubic graphs on N vertices")
     what.add_argument("--random", type=int, metavar="N", help="random subcubic graphs on N vertices")
-    p_gen.add_argument("--size", type=int, default=None, metavar="K", help="parameter for sized named graphs")
-    p_gen.add_argument("--count", type=int, default=1, metavar="C", help="number of random graphs")
-    p_gen.add_argument("--seed", type=int, default=0, metavar="S")
+    p_gen.add_argument("--size", type=int, metavar="K", help="parameter for sized named graphs")
+    p_gen.add_argument("--count", type=int, metavar="C", help="number of random graphs")
+    p_gen.add_argument("--seed", type=int, metavar="S")
 
     p_suite = sub.add_parser("suite", help="run the self-check property suites")
     _add_solving(p_suite)
 
+    # for the batch commands whose subparser has no --out or --colouring
+    parser.set_defaults(output="json", colouring=None)
     return parser
 
 
@@ -546,16 +521,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "generate":
         return cmd_generate(args)
-    # every argument but verify's colouring file is a RunConfig field
-    colouring_path = vars(args).pop("colouring", None)
+    # verify has no --exact-limit and suite no --jobs
+    if vars(args).get("exact_limit", DEFAULT_EXACT_LIMIT) < 4:
+        parser.error("--exact-limit must be at least 4")
+    if vars(args).get("jobs", 1) < 1:
+        parser.error("--jobs must be at least 1")
     try:
-        cfg = RunConfig(**vars(args))
-    except ValueError as exc:
-        parser.error(str(exc))
-    try:
-        if cfg.command == "suite":
-            return cmd_suite(cfg)
-        return cmd_batch(cfg, colouring_path)
+        if args.command == "suite":
+            return cmd_suite(args)
+        return cmd_batch(args)
     except BatchError as exc:
         print(f"deltamin {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -28,7 +28,8 @@ from deltamin import (
     solve_exact,
 )
 from deltamin import Graph, checks, cli, solver, structure
-from deltamin.cli import RunConfig, cmd_suite, main
+from deltamin.cli import main
+from deltamin.errors import BatchError
 
 PETERSEN_G6 = emit_graph6(make_named("petersen"))
 GOLDEN = Path(__file__).parent / "golden"
@@ -156,12 +157,65 @@ def test_reader_splits_as_the_whole_input_reader_did(tmp_path, monkeypatch, data
     expected = reference_lines(data)
     path = tmp_path / "in.g6"
     path.write_bytes(data)
-    with cli._Lines(str(path)) as lines:
-        assert (len(lines), list(lines)) == (len(expected), expected)
+    lines = cli._Lines(str(path))
+    assert (len(lines), list(lines)) == (len(expected), expected)
     # standard input is decoded as UTF-8 whatever its own encoding says
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="latin-1"))
-    with cli._Lines("-") as lines:
-        assert (len(lines), list(lines)) == (len(expected), expected)
+    lines = cli._Lines("-")
+    assert (len(lines), list(lines)) == (len(expected), expected)
+
+
+def _open_descriptors():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+def _lines_of(kind, tmp_path, monkeypatch, data):
+    """A _Lines over data, read from a regular file, standard input or a FIFO."""
+    path = tmp_path / "in.g6"
+    if kind == "file":
+        path.write_bytes(data)
+        return cli._Lines(str(path))
+    if kind == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        return cli._Lines("-")
+    os.mkfifo(path)
+    feeder = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+    feeder.start()
+    lines = cli._Lines(str(path))
+    feeder.join(10)
+    assert not feeder.is_alive()
+    return lines
+
+
+# a reader a walk leaves open is a descriptor left in this process, and a
+# ResourceWarning (an error under -W error::ResourceWarning) when collected
+@pytest.mark.filterwarnings("error::ResourceWarning")
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("kind", ["file", "stdin", "fifo"])
+def test_each_walk_opens_and_closes_its_own_reader(tmp_path, monkeypatch, kind):
+    data = b"C~\r\n\nC~\rC~\n"
+    before = _open_descriptors()
+    lines = _lines_of(kind, tmp_path, monkeypatch, data)
+    assert list(lines) == list(lines) == reference_lines(data)
+    assert _open_descriptors() == before
+    walk = iter(lines)
+    assert next(walk) == "C~"
+    del walk  # abandoned after one line
+    assert _open_descriptors() == before
+
+
+@pytest.mark.filterwarnings("error::ResourceWarning")
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("count", [2, 4], ids=["shrinks", "grows"])
+def test_a_walk_that_finds_a_changed_file_closes_it(tmp_path, count):
+    path = tmp_path / "in.g6"
+    path.write_text("C~\n" * 3)
+    before = _open_descriptors()
+    lines = cli._Lines(str(path))
+    path.write_text("C~\n" * count)
+    with pytest.raises(BatchError, match="changed while it was read"):
+        list(lines)
+    assert _open_descriptors() == before
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -213,6 +267,25 @@ def test_input_that_changes_while_read_exits_2(tmp_path, capsys, monkeypatch, ch
     code, _, err = run_main(["verify", paths[0], "--colouring", paths[1], "--jobs", jobs], capsys=capsys)
     assert code == 2
     assert err == f"deltamin verify: {paths[changed]} changed while it was read (8 lines when counted)\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("changed", [0, 1], ids=["graphs", "colourings"])
+def test_input_that_cannot_be_reopened_exits_2(tmp_path, capsys, monkeypatch, changed, jobs):
+    # one file is counted, then deleted before its walk opens it again
+    lines = ["C~", witness_line("C~")]
+    paths = [write(tmp_path, f"in{i}", (line + "\n") * 8) for i, line in enumerate(lines)]
+    counted = cli._Lines.__init__
+
+    def count_then_unlink(self, path):
+        counted(self, path)
+        if path == paths[changed]:
+            os.unlink(path)
+
+    monkeypatch.setattr(cli._Lines, "__init__", count_then_unlink)
+    code, out, err = run_main(["verify", paths[0], "--colouring", paths[1], "--jobs", jobs], capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == f"deltamin verify: cannot read {paths[changed]}: No such file or directory\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -1044,6 +1117,20 @@ def test_generate_errors_cleanly(capsys, monkeypatch):
     assert err == "deltamin generate: need at least one vertex\n"
 
 
+@pytest.mark.parametrize("argv, flag, kind", [
+    (["--cubic", "4", "--size", "4"], "size", "named"),
+    (["--random", "3", "--size", "4"], "size", "named"),
+    (["--named", "petersen", "--count", "3"], "count", "random"),
+    (["--cubic", "4", "--count", "3"], "count", "random"),
+    (["--named", "petersen", "--seed", "0"], "seed", "random"),
+    (["--cubic", "4", "--seed", "1"], "seed", "random"),
+], ids=["size-cubic", "size-random", "count-named", "count-cubic", "seed-named", "seed-cubic"])
+def test_generate_refuses_a_flag_its_graphs_do_not_use(capsys, argv, flag, kind):
+    code, out, err = run_main(["generate", *argv], capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == f"deltamin generate: --{flag} applies only to --{kind}\n"
+
+
 @pytest.mark.parametrize("argv, n", [
     (["--named", "cycle", "--size", "258048"], 258048),
     (["--named", "flower", "--size", "64513"], 258052),
@@ -1096,18 +1183,25 @@ def test_suite_verdicts_independent_of_seed(capsys, monkeypatch):
 # configuration and wiring
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(command="solve", exact_limit=3)
-    with pytest.raises(ValueError):
-        RunConfig(command="solve", jobs=0)
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "-", "--exact-limit", "3"], "--exact-limit must be at least 4"),
+    (["analyze", "-", "--exact-limit", "3"], "--exact-limit must be at least 4"),
+    (["suite", "--exact-limit", "3"], "--exact-limit must be at least 4"),
+    (["solve", "-", "--jobs", "0"], "--jobs must be at least 1"),
+    (["analyze", "-", "--jobs", "0"], "--jobs must be at least 1"),
+    (["verify", "-", "--colouring", "colours.jsonl", "--jobs", "0"], "--jobs must be at least 1"),
+], ids=["solve-exact-limit", "analyze-exact-limit", "suite-exact-limit", "solve-jobs", "analyze-jobs", "verify-jobs"])
+def test_out_of_range_options_exit_with_usage(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: deltamin ")
+    assert err.endswith(f"\ndeltamin: error: {message}\n")
 
 
 def test_bad_flags_exit_with_usage(capsys, monkeypatch):
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", "-", "--exact-limit", "3"])
-    assert exc.value.code == 2
-    capsys.readouterr()
     # suite runs no batch of graphs, so it has no --jobs
     with pytest.raises(SystemExit) as exc:
         main(["suite", "--jobs", "2"])
