@@ -13,9 +13,9 @@ __version__ = "0.1.0"
 
 # every export and the submodule that defines it
 _EXPORTS = {
-    "Colour": "colouring",
-    "ColouringKind": "colouring",
-    "EdgeColouring": "colouring",
+    "Colour": "colours",
+    "ColouringKind": "colours",
+    "EdgeColouring": "colours",
     "KempeComponent": "colouring",
     "KempeDecomposition": "colouring",
     "kempe_decompose": "colouring",
@@ -27,26 +27,26 @@ _EXPORTS = {
     "DomainError": "errors",
     "GraphFormatError": "errors",
     "ResourceLimitError": "errors",
+    "Method": "exact",
+    "SolveResult": "exact",
+    "is_3_edge_colourable": "exact",
+    "solve_exact": "exact",
+    "make_named": "generators",
+    "random_subcubic": "generators",
     "Graph": "graphs",
     "emit_edge_list": "graphs",
     "emit_graph6": "graphs",
     "enumerate_cubic": "graphs",
     "induced_subgraph": "graphs",
     "isomorphic": "graphs",
-    "make_named": "graphs",
     "parse_edge_list": "graphs",
     "parse_graph6": "graphs",
-    "random_subcubic": "graphs",
-    "Method": "solver",
-    "SolveResult": "solver",
     "TwoFactor": "solver",
     "enumerate_two_factors": "solver",
     "find_two_factor": "solver",
     "heuristic_descent": "solver",
-    "is_3_edge_colourable": "solver",
     "lemma1_colouring": "solver",
     "resistance_exact": "solver",
-    "solve_exact": "solver",
     "ClauseResult": "structure",
     "DeltaClass": "structure",
     "DeltaClassification": "structure",

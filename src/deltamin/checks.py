@@ -12,9 +12,12 @@ from __future__ import annotations
 import random
 from typing import Iterable, Mapping
 
-from .colouring import Colour, ColouringKind, EdgeColouring, properize
-from .graphs import Graph, enumerate_cubic, make_named, random_subcubic
-from .solver import SolveResult, enumerate_two_factors, resistance_exact, solve_exact
+from .colouring import properize
+from .colours import Colour, ColouringKind, EdgeColouring
+from .exact import SolveResult, solve_exact
+from .generators import make_named, random_subcubic
+from .graphs import Graph, enumerate_cubic
+from .solver import enumerate_two_factors, resistance_exact
 from .structure import classify_delta_edges, parity_signature
 
 Outcome = tuple[int, list[str]]

@@ -15,8 +15,12 @@ any output; each walk of it then opens it again and reads it line by line
 as its graphs are run, so memory does not grow with its length.  Standard
 input and other inputs that cannot be read twice (a FIFO, <(...)) are read
 whole and held as one string.  Before the workers fork cmd_batch imports
-the solver unless it verifies, and the structure layer unless it solves;
-generate starts without either, and only suite loads the property checks.
+the exact search (deltamin.exact) unless it verifies, and the structure
+layer unless it solves; the heuristic (deltamin.solver) is imported at the
+first graph above --exact-limit, so a solve within the limit never compiles
+it, nor the Kempe toolkit of deltamin.colouring.  generate imports the
+instance generators (deltamin.generators) and none of the solving modules,
+and only suite loads the property checks.
 
 All records are emitted in input order with sorted keys, so output is
 byte-stable for a fixed (input, config, seed).
@@ -29,19 +33,18 @@ import functools
 import io
 import itertools
 import os
-import random
 import stat
 import sys
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, TextIO
 
 from . import graphs as graphlib
 from .errors import BatchError, DeltaMinError, DomainError, GraphFormatError
-from .graphs import Graph, enumerate_cubic, make_named, parse_edge_list, parse_graph6, random_subcubic
+from .graphs import Graph, parse_edge_list, parse_graph6
 
 if TYPE_CHECKING:
     import logging
 
-    from .solver import SolveResult
+    from .exact import SolveResult
 
 DEFAULT_EXACT_LIMIT = 14
 
@@ -177,12 +180,16 @@ def _dot_block(index: int, g: Graph, result: SolveResult) -> str:
 
 
 def _render(args: argparse.Namespace, index: int, g: Graph) -> Output:
-    # cmd_batch has loaded the solver, so this is a lookup
-    from . import solver
+    # cmd_batch has loaded the exact search, so this is a lookup
+    from . import exact
 
     if g.vertex_count <= args.exact_limit:
-        result = solver.solve_exact(g)
+        result = exact.solve_exact(g)
     else:
+        # imported at the first graph above the limit, so that a batch
+        # within it never compiles the heuristic
+        from . import solver
+
         result = solver.heuristic_descent(g, seed=args.seed)
     if args.output == "csv":
         row = f"g{index},{g.vertex_count},{g.edge_count},{result.s_value},{result.method.value}\n"
@@ -204,7 +211,7 @@ def _render(args: argparse.Namespace, index: int, g: Graph) -> Output:
     report = verify_theorem1(result.witness)
     rec["verification"] = report.to_dict()
     rec["parity"] = None
-    if g.is_cubic() and result.method is solver.Method.EXACT and result.s_value > 0:
+    if g.is_cubic() and result.method is exact.Method.EXACT and result.s_value > 0:
         # on a cubic graph every delta edge of a delta-minimum witness lies
         # in exactly one class, so the report's counts partition s
         rec["parity"] = {
@@ -238,14 +245,14 @@ def _error_output(args: argparse.Namespace, index: int, message: str, offset: Op
 
 def _graph_output(args: argparse.Namespace, index: int, payload: str, colouring: Optional[str]) -> Output:
     try:
-        g = parse_graph6(payload) if args.format == "graph6" else parse_edge_list(payload)
-    except DeltaMinError as exc:
-        return _error_output(args, index, str(exc), exc.offset if isinstance(exc, GraphFormatError) else None)
-    try:
+        try:
+            g = parse_graph6(payload) if args.format == "graph6" else parse_edge_list(payload)
+        except DeltaMinError as exc:
+            return _error_output(args, index, str(exc), exc.offset if isinstance(exc, GraphFormatError) else None)
         if args.command == "verify":
             return _verify_output(args, index, g, colouring)
         return _render(args, index, g)
-    except Exception as exc:  # one graph's failure must not lose the rest of the batch
+    except Exception as exc:  # a failure in one graph, parse included, must not lose the rest of the batch
         _log().exception("graph %d", index)
         return _error_output(args, index, f"{type(exc).__name__}: {exc}", None)
 
@@ -324,7 +331,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     which closes it when it ends or is dropped."""
     # imported before the workers fork, so that they do not import them again
     if args.command != "verify":
-        from . import solver  # noqa: F401
+        from . import exact  # noqa: F401
     if args.command != "solve":
         from . import structure  # noqa: F401
 
@@ -355,7 +362,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     """Write each graph as it is made.  Every argument is checked before the
-    first graph, so an error exits 2 with no output."""
+    first graph, so an error exits 2 with no output.  Each kind of graph
+    imports its own generator, so --cubic compiles neither of the others."""
     out = sys.stdout
     emitted: Iterable[Graph]
     try:
@@ -369,9 +377,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
             n = {"cycle": 1, "flower": 4}.get(args.named.strip().lower(), 0) * (args.size or 0)
             if n > graphlib.G6_MAX_VERTICES:
                 raise DomainError(f"graph6 encodes at most {graphlib.G6_MAX_VERTICES} vertices, not {n}")
+            from .generators import make_named
+
             emitted = [make_named(args.named, args.size)]
         elif args.cubic is not None:
-            emitted = enumerate_cubic(args.cubic)
+            emitted = graphlib.enumerate_cubic(args.cubic)
         else:
             count = 1 if args.count is None else args.count
             if count < 0:
@@ -380,6 +390,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
                 raise DomainError("need at least one vertex")
             if args.random > graphlib.G6_MAX_VERTICES:
                 raise DomainError(f"graph6 encodes at most {graphlib.G6_MAX_VERTICES} vertices, not {args.random}")
+            import random
+
+            from .generators import random_subcubic
+
             rng = random.Random(f"generate:{args.seed or 0}")
             emitted = (
                 random_subcubic(args.random, rng.randrange(2**31))
@@ -402,6 +416,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_suite(args: argparse.Namespace) -> int:
     """Run the property checks over the cubic corpus up to n=10, solved once,
     and seeded random graphs and colourings."""
+    import random
+
     # imported here so that the other commands do not load the checks
     from . import checks
 

@@ -1,15 +1,16 @@
-"""Graph representation, graph6/edge-list codecs, and instance generators.
+"""Graph representation, graph6/edge-list codecs, isomorphism, and the
+enumeration of cubic graphs.
 
 All graphs in this package are simple undirected graphs with maximum degree
 three.  Vertices are the integers ``0 .. vertex_count-1``; every edge has a
-stable integer id equal to its position in the edge tuple.
+stable integer id equal to its position in the edge tuple.  The named and
+random instances are built by deltamin.generators, which only generate and
+suite compile.
 """
 
 from __future__ import annotations
 
-import random
 import re
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, GraphFormatError
@@ -17,6 +18,12 @@ from .errors import DomainError, GraphFormatError
 MAX_DEGREE = 3
 # the most vertices emit_graph6 encodes: the bound of graph6's 4-byte size field
 G6_MAX_VERTICES = 258047
+# the names generators.make_named builds, for --named's help without
+# compiling the constructors; a test checks that the two agree
+NAMED_GRAPHS = ("k33", "k4", "petersen", "cycle", "flower")
+
+# the most vertices parse_edge_list builds a graph on (see there)
+EDGE_LIST_MAX_VERTICES = 2_000_000
 
 _G6_HEADER = ">>graph6<<"
 # the longest prefix of bytes in graph6's range, 63 to 126
@@ -316,6 +323,13 @@ def parse_edge_list(text: str) -> Graph:
     when its second value equals the number of remaining non-empty lines and
     every later endpoint is below its first value.  Without a header the
     vertex count is ``max endpoint + 1``.
+
+    A vertex count above EDGE_LIST_MAX_VERTICES (2,000,000) is refused with
+    a GraphFormatError naming the line that sets it, before anything is
+    built: a header or a label is a few bytes of text however many vertices
+    it asks for, and the build costs about 75 bytes a vertex.  The bound is
+    twenty times the 100,000 vertices the solvers aim at, and keeps the
+    build of an edge list near 150 MB.
     """
     rows: list[tuple[int, int, int]] = []  # (lineno, a, b)
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -341,11 +355,14 @@ def parse_edge_list(text: str) -> Graph:
         and all(a < first_a and b < first_a for _, a, b in body)
     )
     if is_header:
-        n = first_a
+        at, n = rows[0][0], first_a
         edge_rows = body
     else:
-        n = max(max(a, b) for _, a, b in rows) + 1
+        at, a, b = max(rows, key=lambda row: max(row[1], row[2]))
+        n = max(a, b) + 1
         edge_rows = rows
+    if n > EDGE_LIST_MAX_VERTICES:
+        raise GraphFormatError(f"line {at}: {n} vertices, more than the {EDGE_LIST_MAX_VERTICES} an edge list may hold")
     try:
         return Graph(n, [(a, b) for _, a, b in edge_rows])
     except DomainError as exc:
@@ -356,141 +373,6 @@ def emit_edge_list(g: Graph) -> str:
     lines = [f"{g.vertex_count} {g.edge_count}"]
     lines.extend(f"{u} {v}" for u, v in g.edges)
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# named instances
-
-
-def complete_graph(n: int) -> Graph:
-    if n > MAX_DEGREE + 1:
-        raise DomainError("complete graph exceeds maximum degree three")
-    return Graph(n, list(combinations(range(n), 2)))
-
-
-def complete_bipartite_33() -> Graph:
-    return Graph(6, [(i, j) for i in range(3) for j in range(3, 6)])
-
-
-def cycle_graph(k: int) -> Graph:
-    if k < 3:
-        raise DomainError("cycle needs at least three vertices")
-    return Graph(k, [(i, (i + 1) % k) for i in range(k)])
-
-
-def petersen_graph() -> Graph:
-    """Outer cycle 0-4, inner pentagram 5-9 (i+5 adjacent to ((i+2) mod 5)+5),
-    spokes i to i+5."""
-    edges = [(i, (i + 1) % 5) for i in range(5)]
-    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    edges += [(i, i + 5) for i in range(5)]
-    return Graph(10, edges)
-
-
-def flower_snark(k: int) -> Graph:
-    """Flower snark J_k for odd k >= 3: 4k vertices, 6k edges, cubic.
-
-    Vertex layout: for each i in 0..k-1 a star centre ``4i`` joined to the
-    three tips ``4i+1`` (inner cycle), ``4i+2`` and ``4i+3`` (outer strands).
-    Inner tips form a k-cycle; outer strands close up with a half twist,
-    giving one 2k-cycle.
-    """
-    if k < 3 or k % 2 == 0:
-        raise DomainError("flower snark parameter must be odd and at least 3")
-    edges = []
-    for i in range(k):
-        c = 4 * i
-        edges += [(c, c + 1), (c, c + 2), (c, c + 3)]
-    for i in range(k):
-        edges.append((4 * i + 1, 4 * ((i + 1) % k) + 1))
-    for i in range(k - 1):
-        edges.append((4 * i + 2, 4 * (i + 1) + 2))
-        edges.append((4 * i + 3, 4 * (i + 1) + 3))
-    edges.append((4 * (k - 1) + 2, 3))
-    edges.append((4 * (k - 1) + 3, 2))
-    return Graph(4 * k, edges)
-
-
-_NAMED_FIXED = {
-    "k4": lambda: complete_graph(4),
-    "k33": complete_bipartite_33,
-    "petersen": petersen_graph,
-}
-
-_NAMED_PARAM = {
-    "cycle": cycle_graph,
-    "flower": flower_snark,
-}
-
-
-def make_named(name: str, k: int | None = None) -> Graph:
-    """Build a named instance: k4, k33, petersen, cycle (with k), flower (with k)."""
-    key = name.strip().lower()
-    if key in _NAMED_FIXED:
-        if k is not None:
-            raise DomainError(f"{name} takes no size parameter")
-        return _NAMED_FIXED[key]()
-    if key in _NAMED_PARAM:
-        if k is None:
-            raise DomainError(f"{name} needs a size parameter")
-        return _NAMED_PARAM[key](k)
-    raise DomainError(f"unknown graph name {name!r}")
-
-
-NAMED_GRAPHS = tuple(sorted(_NAMED_FIXED)) + tuple(sorted(_NAMED_PARAM))
-
-
-# ---------------------------------------------------------------------------
-# random instances
-
-
-def random_subcubic(n: int, seed: int) -> Graph:
-    """Connected random graph on n vertices with maximum degree three.
-
-    Deterministic for a given (n, seed) across platforms: all randomness
-    comes from random.Random seeded with a string key.  A random spanning
-    tree with degree cap three is grown first, then extra edges are added
-    while they keep the graph simple and subcubic.  The tree phase draws
-    each new vertex's parent from one list of the tree vertices with a free
-    slot, so the build takes about linear time (1 s of CPU for n = 100,000
-    on one Xeon core).
-    """
-    if n < 1:
-        raise DomainError("need at least one vertex")
-    rng = random.Random(f"subcubic:{n}:{seed}")
-    if n == 1:
-        return Graph(1, [])
-    labels = list(range(n))
-    rng.shuffle(labels)
-    edges: list[tuple[int, int]] = []
-    deg = [0] * n
-    adj: set[tuple[int, int]] = set()
-
-    def add(u: int, v: int) -> None:
-        if u > v:
-            u, v = v, u
-        edges.append((u, v))
-        adj.add((u, v))
-        deg[u] += 1
-        deg[v] += 1
-
-    open_slots = [labels[0]]
-    for v in labels[1:]:
-        k = rng.randrange(len(open_slots))
-        add(open_slots[k], v)
-        if deg[open_slots[k]] == MAX_DEGREE:
-            del open_slots[k]
-        open_slots.append(v)
-    # densify: bounded number of attempts keeps this deterministic and fast
-    for _ in range(4 * n):
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u == v or deg[u] >= MAX_DEGREE or deg[v] >= MAX_DEGREE:
-            continue
-        if (min(u, v), max(u, v)) in adj:
-            continue
-        add(u, v)
-    return Graph(n, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ import json
 from itertools import combinations
 from typing import Any, Mapping, NamedTuple, Optional
 
-from .colouring import CODES, Colour, ColourTable, EdgeColouring
+from .colouring import ColourTable
+from .colours import CODES, Colour, EdgeColouring
 from .errors import ClassificationError, ContractViolationError, DomainError
 
 

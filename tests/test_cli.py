@@ -27,7 +27,7 @@ from deltamin import (
     random_subcubic,
     solve_exact,
 )
-from deltamin import Graph, checks, cli, solver, structure
+from deltamin import Graph, checks, cli, exact, generators, structure
 from deltamin.cli import main
 from deltamin.errors import BatchError
 
@@ -78,7 +78,7 @@ def json_record(index, g, result):
     return json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-@pytest.mark.parametrize("method", list(solver.Method), ids=lambda m: m.value)
+@pytest.mark.parametrize("method", list(exact.Method), ids=lambda m: m.value)
 def test_solve_line_is_the_json_record(method):
     rng = random.Random(method.value)
     big = random_subcubic(1000, 4)
@@ -90,7 +90,7 @@ def test_solve_line_is_the_json_record(method):
     ]
     for index, g, s in cases:
         codes = "".join(rng.choice("abgd") for _ in range(g.edge_count))
-        result = solver.SolveResult(s, EdgeColouring(g, codes), method)
+        result = exact.SolveResult(s, EdgeColouring(g, codes), method)
         assert cli._solve_line(index, g, result) == json_record(index, g, result)
 
 
@@ -403,10 +403,10 @@ def _failing_on_petersen(real_solve, exc):
     "exc", [RuntimeError("boom"), RecursionError("too deep"), MemoryError()], ids=lambda e: type(e).__name__
 )
 def test_solve_isolates_a_failing_graph(tmp_path, capsys, caplog, monkeypatch, exc, jobs):
-    # workers fork, so they inherit the patched solver; the failure becomes
+    # workers fork, so they inherit the patched search; the failure becomes
     # that graph's record and the graphs around it, in its chunk too (3 per
     # chunk with --jobs 1, 2 with --jobs 2), still come out in order
-    monkeypatch.setattr(solver, "solve_exact", _failing_on_petersen(solver.solve_exact, exc))
+    monkeypatch.setattr(exact, "solve_exact", _failing_on_petersen(exact.solve_exact, exc))
     lines = ["C~"] * 4 + [PETERSEN_G6, emit_graph6(make_named("k33"))] + ["C~"] * 3
     path = write(tmp_path, "in.g6", "".join(ln + "\n" for ln in lines))
     code, out, _ = run_main(["solve", path, "--jobs", jobs], capsys=capsys)
@@ -419,11 +419,47 @@ def test_solve_isolates_a_failing_graph(tmp_path, capsys, caplog, monkeypatch, e
 
 
 def test_solve_does_not_catch_keyboard_interrupt(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(solver, "solve_exact", _failing_on_petersen(solver.solve_exact, KeyboardInterrupt()))
+    monkeypatch.setattr(exact, "solve_exact", _failing_on_petersen(exact.solve_exact, KeyboardInterrupt()))
     path = write(tmp_path, "in.g6", "C~\n" + PETERSEN_G6 + "\n")
     with pytest.raises(KeyboardInterrupt):
         main(["solve", path])
     capsys.readouterr()
+
+
+def test_solve_isolates_a_failing_parse(tmp_path, capsys, caplog, monkeypatch):
+    # an exception from the parse that is no DeltaMinError fails its graph
+    # alone, as one from the solve does
+    real_parse = cli.parse_graph6
+
+    def parse(text):
+        if text == PETERSEN_G6:
+            raise ValueError("odd bytes")
+        return real_parse(text)
+
+    monkeypatch.setattr(cli, "parse_graph6", parse)
+    path = write(tmp_path, "in.g6", "C~\n" + PETERSEN_G6 + "\nC~\n")
+    code, out, _ = run_main(["solve", path], capsys=capsys)
+    assert code == 1
+    recs = [json.loads(ln) for ln in out.splitlines()]
+    assert recs[1] == {"index": 1, "error": "ValueError: odd bytes", "offset": None}
+    assert [(r["index"], r["s"]) for r in recs if "s" in r] == [(0, 0), (2, 0)]
+    assert "graph 1: ValueError" in caplog.text
+    assert "Traceback" in caplog.text
+
+
+@pytest.mark.parametrize("text, line, n", [
+    ("3000000000 0\n", 1, 3000000000),
+    ("0 4000000000\n", 1, 4000000001),
+    ("20000000 0\n", 1, 20000000),
+    ("0 1\n# far\n\n5 2000000\n", 4, 2000001),
+], ids=["header", "label", "header-20M", "later-line"])
+def test_solve_refuses_an_edge_list_over_the_vertex_bound(tmp_path, capsys, text, line, n):
+    # refused before the graph is built, as the error record of the graph
+    path = write(tmp_path, "in.edges", text)
+    code, out, _ = run_main(["solve", path, "--format", "edgelist"], capsys=capsys)
+    assert code == 1
+    message = f"line {line}: {n} vertices, more than the 2000000 an edge list may hold"
+    assert json.loads(out) == {"index": 0, "error": message, "offset": None}
 
 
 def _modules_loaded_by(*argvs):
@@ -442,23 +478,35 @@ def _modules_loaded_by(*argvs):
 
 
 def test_solve_builds_no_pool_without_work(tmp_path):
-    # empty input and --jobs 1 never compile the workers module; solve loads
-    # the solver but neither the structure layer nor the property checks
+    # empty input and --jobs 1 never compile the workers module; solve within
+    # the exact limit loads the exact search but not the heuristic, the
+    # Kempe toolkit, the generators, the structure layer or the checks
     empty = write(tmp_path, "empty.g6", "")
     one = write(tmp_path, "one.g6", "C~\n")
     loaded = _modules_loaded_by(["solve", empty, "--jobs", "2"], ["solve", one, "--jobs", "1"])
-    assert "deltamin.solver" in loaded
+    assert "deltamin.exact" in loaded
     # solve records are written without json
-    assert not loaded & {"deltamin.workers", "concurrent.futures", "deltamin.structure", "deltamin.checks", "json"}
+    assert not loaded & {
+        "deltamin.workers", "concurrent.futures", "deltamin.solver", "deltamin.colouring", "deltamin.generators",
+        "deltamin.structure", "deltamin.checks", "json",
+    }
+
+
+def test_solve_loads_the_heuristic_above_the_exact_limit(tmp_path):
+    path = write(tmp_path, "in.g6", PETERSEN_G6 + "\n")
+    assert "deltamin.solver" not in _modules_loaded_by(["solve", path])
+    assert "deltamin.solver" in _modules_loaded_by(["solve", path, "--exact-limit", "8"])
 
 
 @pytest.mark.parametrize("argv", [["--named", "k4"], ["--cubic", "6"], ["--random", "8"]], ids=lambda a: a[0])
 def test_generate_loads_only_the_graph_codecs(argv):
     loaded = _modules_loaded_by(["generate", *argv])
     assert "deltamin.graphs" in loaded
+    # --cubic builds no named or random graph
+    assert ("deltamin.generators" in loaded) == (argv[0] != "--cubic")
     assert not loaded & {
-        "deltamin.colouring", "deltamin.solver", "deltamin.structure", "deltamin.checks", "deltamin.workers",
-        "logging", "json", "dataclasses",
+        "deltamin.colours", "deltamin.colouring", "deltamin.exact", "deltamin.solver", "deltamin.structure",
+        "deltamin.checks", "deltamin.workers", "logging", "json", "dataclasses",
     }
 
 
@@ -502,8 +550,8 @@ os.fork = recording_fork
 
 
 @pytest.mark.parametrize("command, needed", [
-    ("solve", {"deltamin.solver"}),
-    ("analyze", {"deltamin.solver", "deltamin.structure"}),
+    ("solve", {"deltamin.exact"}),
+    ("analyze", {"deltamin.exact", "deltamin.structure"}),
     ("verify", {"deltamin.colouring", "deltamin.structure"}),
 ])
 def test_solving_modules_load_before_the_pool_forks(command, needed):
@@ -594,20 +642,20 @@ def _group_gone(pgid, limit_s=5.0):
         time.sleep(0.05)
 
 
-# runs solve with solver.solve_exact patched to end its process on Petersen
+# runs solve with exact.solve_exact patched to end its process on Petersen
 _DYING_WORKER = """
 import os, sys
-from deltamin import solver
+from deltamin import exact
 from deltamin.cli import main_entry
 
-real = solver.solve_exact
+real = exact.solve_exact
 
 def solve(g):
     if g.vertex_count == 10:
         os._exit(3)
     return real(g)
 
-solver.solve_exact = solve
+exact.solve_exact = solve
 sys.argv = ["deltamin"] + sys.argv[1:]
 main_entry()
 """
@@ -726,7 +774,7 @@ def test_workers_run_ahead_by_at_most_the_window(tmp_path, capsys, monkeypatch):
     from deltamin import workers as workers_module
 
     path = write(tmp_path, "in.g6", PETERSEN_G6 + "\n" + "C~\n" * 39)
-    real_solve = solver.solve_exact
+    real_solve = exact.solve_exact
 
     def slow_on_petersen(g):
         if g.vertex_count == 10:
@@ -749,7 +797,7 @@ def test_workers_run_ahead_by_at_most_the_window(tmp_path, capsys, monkeypatch):
             yield result
 
     _, serial, _ = run_main(["solve", path], capsys=capsys)
-    monkeypatch.setattr(solver, "solve_exact", slow_on_petersen)
+    monkeypatch.setattr(exact, "solve_exact", slow_on_petersen)
     monkeypatch.setattr(workers_module, "fork_map", watched_fork_map)
     _, pooled, _ = run_main(["solve", path, "--jobs", "2"], capsys=capsys)
     assert pooled == serial
@@ -1001,7 +1049,7 @@ def test_analyze_parity_matches_the_reference_signature(capsys):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_analyze_isolates_a_failing_graph(tmp_path, capsys, monkeypatch, jobs):
-    monkeypatch.setattr(solver, "solve_exact", _failing_on_petersen(solver.solve_exact, RuntimeError("boom")))
+    monkeypatch.setattr(exact, "solve_exact", _failing_on_petersen(exact.solve_exact, RuntimeError("boom")))
     lines = ["C~"] * 4 + [PETERSEN_G6] + ["C~"] * 4
     path = write(tmp_path, "in.g6", "".join(ln + "\n" for ln in lines))
     code, out, _ = run_main(["analyze", path, "--jobs", jobs], capsys=capsys)
@@ -1138,8 +1186,8 @@ def test_generate_refuses_a_flag_its_graphs_do_not_use(capsys, argv, flag, kind)
 ], ids=["cycle", "flower", "random"])
 def test_generate_refuses_what_graph6_cannot_encode(capsys, monkeypatch, argv, n):
     # refused before the graph is built: one past the largest graph6 size
-    monkeypatch.setattr(cli, "make_named", None)
-    monkeypatch.setattr(cli, "random_subcubic", None)
+    monkeypatch.setattr(generators, "make_named", None)
+    monkeypatch.setattr(generators, "random_subcubic", None)
     code, out, err = run_main(["generate", *argv], capsys=capsys)
     assert (code, out) == (2, "")
     assert err == f"deltamin generate: graph6 encodes at most 258047 vertices, not {n}\n"

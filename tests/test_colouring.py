@@ -26,14 +26,8 @@ from deltamin import (
     random_subcubic,
     solve_exact,
 )
-from deltamin.colouring import (
-    CODES,
-    COLOUR_ORDER,
-    NON_DELTA,
-    ColourTable,
-    KempeComponent,
-    KempeDecomposition,
-)
+from deltamin.colouring import ColourTable, KempeComponent, KempeDecomposition
+from deltamin.colours import CODES, COLOUR_ORDER, NON_DELTA
 
 GOLDEN = Path(__file__).parent / "golden"
 

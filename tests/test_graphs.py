@@ -33,7 +33,7 @@ from deltamin import (
     parse_graph6,
     random_subcubic,
 )
-from deltamin import graphs
+from deltamin import generators, graphs
 from deltamin.graphs import G6_MAX_VERTICES, NAMED_GRAPHS, _G6_PRINTABLE, _g6_payload, _g6_read_size
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -527,6 +527,24 @@ def test_edge_list_errors():
     assert parse_edge_list("") == Graph(0, [])
 
 
+def test_edge_list_vertex_bound(monkeypatch):
+    # the count comes from a header or from the largest label, and is
+    # checked before the graph is built: the Graph a refused count would
+    # make is never asked for
+    assert 1_000_000 <= graphs.EDGE_LIST_MAX_VERTICES < 20_000_000
+    monkeypatch.setattr(graphs, "EDGE_LIST_MAX_VERTICES", 10)
+    assert parse_edge_list("10 1\n0 9\n").vertex_count == 10
+    assert parse_edge_list("0 9\n").vertex_count == 10
+    monkeypatch.setattr(graphs, "Graph", None)
+    for text, message in [
+        ("11 1\n0 9\n", "line 1: 11 vertices"),
+        ("0 1\n\n# far\n2 10\n", "line 4: 11 vertices"),
+        ("0 1\n10 2\n3 10\n", "line 2: 11 vertices"),
+    ]:
+        with pytest.raises(GraphFormatError, match=f"^{message}, more than the 10 an edge list may hold$"):
+            parse_edge_list(text)
+
+
 # ---------------------------------------------------------------------------
 # named instances
 
@@ -593,6 +611,12 @@ def test_make_named_errors():
     with pytest.raises(DomainError):
         make_named("cycle", 2)
     assert "petersen" in NAMED_GRAPHS and "cycle" in NAMED_GRAPHS
+
+
+def test_named_graphs_are_the_names_make_named_builds():
+    # the parser's --named help reads graphs.NAMED_GRAPHS, which is kept
+    # apart from the constructors so that it compiles none of them
+    assert NAMED_GRAPHS == tuple(sorted(generators._NAMED_FIXED)) + tuple(sorted(generators._NAMED_PARAM))
 
 
 # ---------------------------------------------------------------------------

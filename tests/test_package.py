@@ -17,7 +17,7 @@ import deltamin
 def unresolved(monkeypatch):
     """The package as a fresh import leaves it: no export or submodule
     bound yet, so each lookup goes through its module __getattr__."""
-    for name in [*deltamin.__all__, "colouring", "errors", "graphs", "solver", "structure"]:
+    for name in [*deltamin.__all__, *set(deltamin._EXPORTS.values())]:
         if name != "__version__" and name in vars(deltamin):
             monkeypatch.delattr(deltamin, name)
     return deltamin
@@ -55,7 +55,7 @@ def test_unknown_name_is_an_attribute_error(unresolved):
         exec("from deltamin import no_such_name", {})
 
 
-@pytest.mark.parametrize("name", ["graphs", "solver", "structure"])
+@pytest.mark.parametrize("name", ["colours", "exact", "generators", "graphs", "solver", "structure"])
 def test_submodules_resolve_by_name(unresolved, name):
     module = getattr(unresolved, name)
     assert isinstance(module, ModuleType)

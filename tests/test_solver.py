@@ -37,17 +37,17 @@ from deltamin import (
     solve_exact,
     verify_theorem1,
 )
-from deltamin.colouring import NON_DELTA, kempe_decompose, kempe_swap, properize
-from deltamin import solver
-from deltamin.graphs import induced_subgraph
-from deltamin.solver import (
+from deltamin.colouring import kempe_decompose, kempe_swap, properize
+from deltamin.colours import NON_DELTA
+from deltamin import exact
+from deltamin.exact import (
     _class_two_blocks,
     _cut_sides,
-    _greedy_improper,
     _matchings_of_size,
-    _maximum_matching,
     _three_edge_colouring,
 )
+from deltamin.graphs import induced_subgraph
+from deltamin.solver import _greedy_improper, _maximum_matching
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -286,7 +286,7 @@ def search_with_branch_choices(g: Graph) -> tuple:
 
     def count(frame, event, arg):
         nonlocal calls
-        if event == "call" and frame.f_code.co_name == "propagate" and frame.f_globals["__name__"] == "deltamin.solver":
+        if event == "call" and frame.f_code.co_name == "propagate" and frame.f_globals["__name__"] == "deltamin.exact":
             calls += 1
 
     sys.setprofile(count)
@@ -549,9 +549,9 @@ def test_overfull_start_keeps_witnesses_and_skips_size_zero(monkeypatch):
     # the size of the first matching whose complement is searched: size
     # zero is one plain search, so levels are seen through the search
     levels = []
-    plain = solver._three_edge_colouring
+    plain = exact._three_edge_colouring
     monkeypatch.setattr(
-        solver, "_three_edge_colouring",
+        exact, "_three_edge_colouring",
         lambda h, excluded=frozenset(): levels.append((h, len(excluded))) or plain(h, excluded),
     )
     for g in graphs:
