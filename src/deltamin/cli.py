@@ -260,7 +260,7 @@ def _graph_output(args: argparse.Namespace, index: int, payload: str, colouring:
 # A chunk for a worker closes at this much input text (graph6 is ASCII, so
 # bytes), even short of its graph count.  64 KiB, one pipe buffer, is the
 # text of one graph of about 900 vertices, whose parse and solve outweigh a
-# chunk's round trip (a pickle, a pipe write, a select wake-up: tens of
+# chunk's round trip (a marshal frame, a pipe write, a poll wake-up: tens of
 # microseconds) many times over; a chunk of thousands of small graphs stays
 # under it.  The input text held at once is then at most the window of
 # 2 * workers chunks times (64 KiB + the longest line).

@@ -5,9 +5,13 @@ started with os.fork (POSIX only), and yields each chunk's results in input
 order.  Each worker has two pipes to the parent.  On one the parent writes
 the rows of the worker's next chunk whenever the worker hands a chunk back,
 so slow rows that bunch in one chunk hold up one worker, not the others.
-On the other the worker writes each chunk's result list.  Both are pickled
-and length-prefixed; the parent waits on the result pipes with poll,
-which, unlike select, takes a descriptor of any number.
+On the other the worker writes each chunk's result list.  Both go as
+length-prefixed marshal frames, so rows and results must be values
+marshal encodes: None, bools, ints, strings, and tuples and lists of them
+(marshal keeps lone surrogates, and both ends run the same interpreter).
+A worker whose results marshal cannot encode exits with status 1, which
+stops the batch as a lost chunk does.  The parent waits on the result
+pipes with poll, which, unlike select, takes a descriptor of any number.
 
 A chunk is drawn from its iterator only when it is handed out, only to an
 idle worker, and only while fewer than 2 * workers chunks are out and not
@@ -27,8 +31,8 @@ pipe, kills the workers still at work and reaps them all.
 
 from __future__ import annotations
 
+import marshal
 import os
-import pickle
 import select
 import signal
 import sys
@@ -36,7 +40,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import BatchError
 
-_LENGTH_BYTES = 8  # the length prefix of a pickled message on either pipe
+_LENGTH_BYTES = 8  # the length prefix of a marshal frame on either pipe
 
 
 class _Worker:
@@ -73,7 +77,7 @@ def _write(fd: int, data: bytes) -> None:
 
 
 def _send(fd: int, obj: list) -> None:
-    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    data = marshal.dumps(obj)
     _write(fd, len(data).to_bytes(_LENGTH_BYTES, "little"))
     _write(fd, data)
 
@@ -82,7 +86,7 @@ def _receive(fd: int) -> Optional[list]:
     """The next list _send wrote to fd, or None if fd closes before it."""
     head = _read(fd, _LENGTH_BYTES)
     data = None if head is None else _read(fd, int.from_bytes(head, "little"))
-    return None if data is None else pickle.loads(data)
+    return None if data is None else marshal.loads(data)
 
 
 def _serve(run: Callable, tasks: int, results: int) -> None:
@@ -135,7 +139,9 @@ def _lost(w: _Worker) -> str:
 
 def fork_map(run: Callable, chunks: Iterable[list[tuple]], workers: int) -> Iterator[list]:
     """The results of run(*row) over the rows of each chunk, one list per
-    chunk, in order, computed by the given number of forked workers."""
+    chunk, in order, computed by the given number of forked workers.  Rows
+    and results cross the pipes as marshal frames, so both must be None,
+    bools, ints, strings, or tuples and lists of them."""
     todo = iter(chunks)
     window = 2 * workers
     handed = 0  # chunks handed out so far, always the first ones

@@ -15,6 +15,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltamin import (
     EdgeColouring,
@@ -122,13 +124,15 @@ def check_bad_middle_line(code, out):
     assert [recs[0]["s"], recs[2]["s"]] == [0, 2]
 
 
-def test_solve_keeps_the_batch_around_a_non_utf8_line(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_solve_keeps_the_batch_around_a_non_utf8_line(tmp_path, capsys, monkeypatch, jobs):
+    # at --jobs 2 the line's surrogate escapes cross the pipe to a worker
     path = tmp_path / "in.g6"
     path.write_bytes(NOT_UTF8)
-    check_bad_middle_line(*run_main(["solve", str(path)], capsys=capsys)[:2])
+    check_bad_middle_line(*run_main(["solve", str(path), "--jobs", jobs], capsys=capsys)[:2])
     # standard input is decoded the same way, whatever the locale's encoding
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8"))
-    check_bad_middle_line(*run_main(["solve", "-"], capsys=capsys)[:2])
+    check_bad_middle_line(*run_main(["solve", "-", "--jobs", jobs], capsys=capsys)[:2])
 
 
 def reference_lines(data: bytes) -> list[str]:
@@ -163,6 +167,93 @@ def test_reader_splits_as_the_whole_input_reader_did(tmp_path, monkeypatch, data
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="latin-1"))
     lines = cli._Lines("-")
     assert (len(lines), list(lines)) == (len(expected), expected)
+
+
+@pytest.mark.parametrize("data", _READER_CASES.values(), ids=_READER_CASES.keys())
+def test_pool_round_trips_every_line_the_reader_yields(tmp_path, capsys, caplog, data):
+    # each case has at least two lines, so --jobs 2 forks two workers; the
+    # lines reach them, surrogate escapes and separators included, and
+    # 1mb-line is longer than a pipe buffer
+    path = tmp_path / "in.g6"
+    path.write_bytes(data)
+    count = len(reference_lines(data))
+    assert cli._chunks(count, 2)[1] == 2
+    runs = []
+    for jobs in ("1", "2"):
+        caplog.clear()
+        code, out, _ = run_main(["solve", str(path), "--jobs", jobs], capsys=capsys)
+        runs.append((code, out, [r.getMessage() for r in caplog.records]))
+    assert runs[1] == runs[0]
+    assert runs[0][1].count("\n") == count
+
+
+@st.composite
+def _graph6_lines(draw):
+    """The graph6 line of a graph on at most 10 vertices with maximum degree
+    three, its drawn pairs kept while they stay simple and subcubic."""
+    n = draw(st.integers(0, 10))
+    degree = [0] * n
+    edges = set()
+    for u, v in draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=20)):
+        key = (min(u, v), max(u, v))
+        if u != v and key[1] < n and key not in edges and degree[u] < 3 and degree[v] < 3:
+            edges.add(key)
+            degree[u] += 1
+            degree[v] += 1
+    return emit_graph6(Graph(n, sorted(edges))).encode()
+
+
+@st.composite
+def _mutated_lines(draw):
+    """A graph6 line with up to three bytes replaced, inserted or deleted."""
+    line = bytearray(draw(_graph6_lines()))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(line)))
+        line[at:at + draw(st.integers(0, 1))] = draw(st.binary(max_size=2))
+    return bytes(line)
+
+
+# the separators str.splitlines splits at, in UTF-8, and none at all
+_SEPARATORS = [c.encode() for c in ["\n", "\r\n", *"\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"]] + [b""]
+_NOT_UTF8 = [b"\xff", b"\xfe\xff", b"\x80", b"\xc2", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]
+
+_drawn_inputs = st.lists(
+    st.tuples(
+        st.one_of(_graph6_lines(), _mutated_lines(), st.sampled_from(_NOT_UTF8), st.binary(max_size=8)),
+        st.sampled_from(_SEPARATORS),
+    ),
+    max_size=12,
+).map(lambda pieces: b"".join(line + sep for line, sep in pieces))
+
+
+def check_one_record_per_line_at_any_jobs(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("drawn") / "in.g6"
+    path.write_bytes(data)
+    serial, forked = (
+        subprocess.run(
+            [sys.executable, "-m", "deltamin", "solve", str(path), "--jobs", jobs], capture_output=True, timeout=60
+        )
+        for jobs in ("1", "2")
+    )
+    assert (forked.returncode, forked.stdout, forked.stderr) == (serial.returncode, serial.stdout, serial.stderr)
+    recs = [json.loads(ln) for ln in serial.stdout.splitlines()]
+    assert [r["index"] for r in recs] == list(range(len(reference_lines(data))))
+    assert serial.returncode == (1 if any("error" in r for r in recs) else 0)
+    assert b"Traceback" not in serial.stderr
+
+
+# each example runs solve twice in a fresh interpreter, about 0.3 s
+@given(data=_drawn_inputs)
+@settings(max_examples=30, deadline=None)
+def test_drawn_input_gives_one_record_per_line_at_any_jobs(tmp_path_factory, data):
+    check_one_record_per_line_at_any_jobs(tmp_path_factory, data)
+
+
+@pytest.mark.slow
+@given(data=_drawn_inputs)
+@settings(max_examples=500, deadline=None)
+def test_drawn_input_gives_one_record_per_line_at_any_jobs_at_length(tmp_path_factory, data):
+    check_one_record_per_line_at_any_jobs(tmp_path_factory, data)
 
 
 def _open_descriptors():
@@ -524,13 +615,16 @@ def test_analyze_and_verify_load_the_structure_layer(tmp_path, command):
 def test_solving_commands_load_no_dataclasses(tmp_path, command):
     # the records are named tuples: dataclasses would bring inspect (with
     # ast, dis and tokenize) into every start; two graphs and --jobs 2 fork
-    # two workers without the standard library's process pools
+    # two workers without the standard library's process pools, and their
+    # pipes carry marshal frames, not pickles
     grf = write(tmp_path, "in.g6", "C~\n" + PETERSEN_G6 + "\n")
     col = write(tmp_path, "colours.jsonl", witness_line("C~") + "\n" + witness_line(PETERSEN_G6) + "\n")
     argv = [command, grf, "--jobs", "2"] + (["--colouring", col] if command == "verify" else [])
     loaded = _modules_loaded_by(argv)
     assert "deltamin.workers" in loaded
-    assert not loaded & {"concurrent.futures", "multiprocessing", "dataclasses", "inspect"}
+    assert not loaded & {
+        "concurrent.futures", "multiprocessing", "dataclasses", "inspect", "pickle", "_pickle", "_compat_pickle",
+    }
 
 
 # an os.fork that records the package modules loaded at its first call and
@@ -661,6 +755,24 @@ main_entry()
 """
 
 
+# runs solve with the output of graph 4 replaced by a value that marshal
+# cannot encode
+_UNMARSHALLABLE_RESULT = """
+import sys
+from deltamin import cli
+from deltamin.cli import main_entry
+
+real = cli._graph_output
+
+def output(args, index, payload, colouring):
+    return object() if index == 4 else real(args, index, payload, colouring)
+
+cli._graph_output = output
+sys.argv = ["deltamin"] + sys.argv[1:]
+main_entry()
+"""
+
+
 # runs solve with os.fork failing as it does when processes run out, on its
 # second call
 _FAILING_FORK = """
@@ -740,6 +852,16 @@ def test_a_dying_worker_stops_the_batch_and_leaves_no_process(tmp_path):
     status, out, err = _run_in_own_group(_DYING_WORKER, "solve", path, "--jobs", "2")
     assert status == 2
     assert err == "deltamin solve: the worker for graphs 4-5 exited with status 3 before returning them\n"
+    assert [json.loads(ln)["index"] for ln in out.splitlines()] == [0, 1, 2, 3]
+
+
+def test_an_unmarshallable_result_stops_the_batch_and_leaves_no_process(tmp_path):
+    # the worker holding graphs 4-5 cannot send their results and exits
+    # with status 1, so chunks 0 and 1 still come out
+    path = write(tmp_path, "in.g6", "C~\n" * 9)
+    status, out, err = _run_in_own_group(_UNMARSHALLABLE_RESULT, "solve", path, "--jobs", "2")
+    assert status == 2
+    assert err == "deltamin solve: the worker for graphs 4-5 exited with status 1 before returning them\n"
     assert [json.loads(ln)["index"] for ln in out.splitlines()] == [0, 1, 2, 3]
 
 
