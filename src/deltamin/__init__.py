@@ -21,6 +21,8 @@ _EXPORTS = {
     "kempe_decompose": "colouring",
     "kempe_swap": "colouring",
     "properize": "colouring",
+    "enumerate_two_factors": "checks",
+    "resistance_exact": "checks",
     "ClassificationError": "errors",
     "ContractViolationError": "errors",
     "DeltaMinError": "errors",
@@ -42,11 +44,9 @@ _EXPORTS = {
     "parse_edge_list": "graphs",
     "parse_graph6": "graphs",
     "TwoFactor": "solver",
-    "enumerate_two_factors": "solver",
     "find_two_factor": "solver",
     "heuristic_descent": "solver",
     "lemma1_colouring": "solver",
-    "resistance_exact": "solver",
     "ClauseResult": "structure",
     "DeltaClass": "structure",
     "DeltaClassification": "structure",

@@ -1,23 +1,31 @@
-"""The paper's structural facts as property checks.
+"""The paper's structural facts as property checks, the exponential oracles
+they compare against, and the suite that runs them.
 
 Each check takes the graphs or witnesses it checks and returns how many
-items it checked and one message per failure.  `deltamin suite` and the
-acceptance tests run the same checks and differ only in the corpus, seed
-and trial counts they pass.  Witnesses of a cubic corpus are keyed by
+items it checked and one message per failure.  `deltamin suite` (run_suite)
+and the acceptance tests run the same checks and differ only in the corpus,
+seed and trial counts they pass.  Witnesses of a cubic corpus are keyed by
 (n, index in enumeration order).
+
+The oracles serve as cross-checks only: resistance_exact recomputes s(G) by
+plain edge deletions, and enumerate_two_factors lists every 2-factor of a
+small cubic graph.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, Mapping
+import sys
+from itertools import combinations
+from typing import Iterable, Iterator, Mapping
 
 from .colouring import properize
 from .colours import Colour, ColouringKind, EdgeColouring
-from .exact import SolveResult, solve_exact
+from .errors import DomainError, ResourceLimitError
+from .exact import SolveResult, _three_edge_colouring, solve_exact
 from .generators import make_named, random_subcubic
 from .graphs import Graph, enumerate_cubic
-from .solver import enumerate_two_factors, resistance_exact
+from .solver import TwoFactor, _cycles_of_complement
 from .structure import classify_delta_edges, parity_signature
 
 Outcome = tuple[int, list[str]]
@@ -25,6 +33,69 @@ Witnesses = Mapping[tuple[int, int], SolveResult]
 
 GOLDEN_VALUES = (("k4", None, 0), ("k33", None, 0), ("cycle", 5, 0), ("petersen", None, 2))
 CUBIC_COUNTS = {4: 1, 6: 2, 8: 5}
+_TWO_FACTOR_VERTEX_LIMIT = 16
+
+
+# ---------------------------------------------------------------------------
+# oracles
+
+
+def resistance_exact(g: Graph) -> int:
+    """Minimum number of edge deletions leaving a 3-edge-colourable graph.
+
+    Deliberately unconstrained (plain subsets, no matching requirement, no
+    candidate pruning) so it can serve as an independent cross-check of
+    solve_exact; the two agree on every graph of maximum degree three.  It
+    also keeps the k=1 level on cubic graphs, which solve_exact skips by the
+    parity lemma, so that the cross-check keeps testing that skip.
+    """
+    for k in range(g.edge_count + 1):
+        for subset in combinations(range(g.edge_count), k):
+            if _three_edge_colouring(g, frozenset(subset)) is not None:
+                return k
+    raise AssertionError("unreachable: the empty graph is 3-edge-colourable")
+
+
+def _perfect_matchings(g: Graph) -> Iterator[frozenset[int]]:
+    """All perfect matchings, by backtracking on the lowest uncovered vertex.
+    Exponential; only enumerate_two_factors, guarded to small graphs, uses it."""
+    if g.vertex_count % 2:
+        return
+    covered = [False] * g.vertex_count
+    picked: list[int] = []
+
+    def grow() -> Iterator[frozenset[int]]:
+        v = next((u for u in range(g.vertex_count) if not covered[u]), None)
+        if v is None:
+            yield frozenset(picked)
+            return
+        covered[v] = True
+        for w, eid in g.adjacency[v]:
+            if covered[w]:
+                continue
+            covered[w] = True
+            picked.append(eid)
+            yield from grow()
+            picked.pop()
+            covered[w] = False
+        covered[v] = False
+
+    yield from grow()
+
+
+def enumerate_two_factors(g: Graph) -> Iterator[TwoFactor]:
+    """All 2-factors of a cubic graph (one per complementary perfect
+    matching), in deterministic order."""
+    if not g.is_cubic():
+        raise DomainError("2-factors are only enumerated for cubic graphs")
+    if g.vertex_count > _TWO_FACTOR_VERTEX_LIMIT:
+        raise ResourceLimitError(f"2-factor enumeration is limited to {_TWO_FACTOR_VERTEX_LIMIT} vertices")
+    for matching in _perfect_matchings(g):
+        yield TwoFactor(g, _cycles_of_complement(g, matching), matching)
+
+
+# ---------------------------------------------------------------------------
+# corpora and checks
 
 
 def cubic_corpus() -> dict[int, list[Graph]]:
@@ -127,3 +198,45 @@ def properize_contract(colourings: list[EdgeColouring]) -> Outcome:
         if before.classification() is ColouringKind.DELTA_IMPROPER and not a < b:
             failures.append(f"trial {trial}: delta class did not shrink")
     return len(colourings), failures
+
+
+# ---------------------------------------------------------------------------
+# deltamin suite
+
+
+def run_suite(seed: int, exact_limit: int) -> int:
+    """Run the checks over the cubic corpus up to n=10, solved once, and
+    seeded random graphs and colourings, one line per check; 1 if any
+    fails.  A check that needs exact solving above exact_limit is skipped."""
+    out = sys.stdout
+    out.write("deltamin suite | enumeration: isomorphism-free (orderly breadth-first generation) | "
+              f"seed={seed} exact-limit={exact_limit}\n")
+    corpus = cubic_corpus()
+    needs = max(corpus)
+    witnesses = solve_corpus(corpus) if needs <= exact_limit else {}
+    graphs = random_graphs(random.Random(f"suite:{seed}"), 100, range(4, 11))
+    colourings = random_improper_colourings(random.Random(f"suite-properize:{seed}"), 200, range(2, 13))
+    # (name, exact solving needed up to n, check, PASS detail given the count checked)
+    suites = (
+        ("golden-values", needs, golden_values, "{} named graphs"),
+        ("enumeration-counts", 0, lambda: enumeration_counts(corpus), "{} graphs over n=4,6,8"),
+        ("two-factor-bound", needs, lambda: two_factor_bound(witnesses),
+         f"{len(witnesses)} graphs, {{}} two-factors"),
+        ("resistance-equivalence", needs, lambda: resistance_equivalence(witnesses, graphs),
+         "{} graphs (enumerated cubic + 100 random subcubic)"),
+        ("parity-signature", needs, lambda: parity_signatures(witnesses), "{} witnesses with s >= 1"),
+        ("properize-contract", 0, lambda: properize_contract(colourings), "{} random delta-improper colourings"),
+    )
+    status = 0
+    for name, limit, run, detail in suites:
+        if limit > exact_limit:
+            out.write(f"suite {name}: SKIPPED (needs exact solving up to n={limit}, exact-limit={exact_limit})\n")
+            continue
+        checked, failures = run()
+        if failures:
+            more = f"; {len(failures) - 1} more" if len(failures) > 1 else ""
+            out.write(f"suite {name}: FAIL ({failures[0]}{more})\n")
+            status = 1
+        else:
+            out.write(f"suite {name}: PASS ({detail.format(checked)})\n")
+    return status

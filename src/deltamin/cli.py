@@ -20,7 +20,8 @@ layer unless it solves; the heuristic (deltamin.solver) is imported at the
 first graph above --exact-limit, so a solve within the limit never compiles
 it, nor the Kempe toolkit of deltamin.colouring.  generate imports the
 instance generators (deltamin.generators) and none of the solving modules,
-and only suite loads the property checks.
+and suite runs the property checks of deltamin.checks, which no other
+command loads.
 
 All records are emitted in input order with sorted keys, so output is
 byte-stable for a fixed (input, config, seed).
@@ -410,55 +411,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# suite
-
-
-def cmd_suite(args: argparse.Namespace) -> int:
-    """Run the property checks over the cubic corpus up to n=10, solved once,
-    and seeded random graphs and colourings."""
-    import random
-
-    # imported here so that the other commands do not load the checks
-    from . import checks
-
-    out = sys.stdout
-    out.write(
-        "deltamin suite | enumeration: isomorphism-free "
-        "(orderly breadth-first generation) | "
-        f"seed={args.seed} exact-limit={args.exact_limit}\n"
-    )
-    corpus = checks.cubic_corpus()
-    needs = max(corpus)
-    witnesses = checks.solve_corpus(corpus) if needs <= args.exact_limit else {}
-    graphs = checks.random_graphs(random.Random(f"suite:{args.seed}"), 100, range(4, 11))
-    colourings = checks.random_improper_colourings(random.Random(f"suite-properize:{args.seed}"), 200, range(2, 13))
-    # (name, exact solving needed up to n, check, PASS detail given the count checked)
-    suites = (
-        ("golden-values", needs, checks.golden_values, "{} named graphs"),
-        ("enumeration-counts", 0, lambda: checks.enumeration_counts(corpus), "{} graphs over n=4,6,8"),
-        ("two-factor-bound", needs, lambda: checks.two_factor_bound(witnesses),
-         f"{len(witnesses)} graphs, {{}} two-factors"),
-        ("resistance-equivalence", needs, lambda: checks.resistance_equivalence(witnesses, graphs),
-         "{} graphs (enumerated cubic + 100 random subcubic)"),
-        ("parity-signature", needs, lambda: checks.parity_signatures(witnesses), "{} witnesses with s >= 1"),
-        ("properize-contract", 0, lambda: checks.properize_contract(colourings), "{} random delta-improper colourings"),
-    )
-    status = 0
-    for name, limit, run, detail in suites:
-        if limit > args.exact_limit:
-            out.write(f"suite {name}: SKIPPED (needs exact solving up to n={limit}, exact-limit={args.exact_limit})\n")
-            continue
-        checked, failures = run()
-        if failures:
-            more = f"; {len(failures) - 1} more" if len(failures) > 1 else ""
-            out.write(f"suite {name}: FAIL ({failures[0]}{more})\n")
-            status = 1
-        else:
-            out.write(f"suite {name}: PASS ({detail.format(checked)})\n")
-    return status
-
-
-# ---------------------------------------------------------------------------
 # argument parsing / entry point
 
 
@@ -542,9 +494,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.error("--exact-limit must be at least 4")
     if vars(args).get("jobs", 1) < 1:
         parser.error("--jobs must be at least 1")
+    if args.command == "suite":
+        # imported here so that the other commands do not load the checks
+        from .checks import run_suite
+
+        return run_suite(args.seed, args.exact_limit)
     try:
-        if args.command == "suite":
-            return cmd_suite(args)
         return cmd_batch(args)
     except BatchError as exc:
         print(f"deltamin {args.command}: {exc}", file=sys.stderr)

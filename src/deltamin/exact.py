@@ -7,31 +7,34 @@ exact solver searches: matchings in increasing size, first hit wins.  This
 module is all of the solving that solve runs on a graph within the exact
 limit; the heuristic above it is deltamin.solver.
 
-Witness contract of the exact solver: for each size k the matchings come in
-lexicographic order of their sorted edge ids, and the first one whose
-complement is 3-edge-colourable wins.  That complement is coloured by a
-backtrack that branches on the lowest-index uncoloured edge with the fewest
-free colours and tries alpha < beta < gamma.  The backtrack also gives every
-edge left with a single free colour that colour before branching again;
-such forcing reaches one fixpoint (or one failure) in any order, so it
-prunes work without moving a branch point or changing the first colouring
-found.  At each branch point the backtrack also keeps only the lowest of the
-free colours that no coloured edge uses yet (free colours already in use are
-all kept): a dropped colour's subtree is the colour-swapped image of that
-lowest one's, which was tried first and failed, so it fails too and the
-first colouring found stays the same.  On a cubic graph the size k=1 is
-skipped once k=0 has failed: by the parity lemma (Steffen, Measurements of
-edge-uncolorability of cubic graphs, J. Graph Theory 2004) a 3-edge-colouring
-of G - e leaves both ends of e missing the same colour, so G would be
-3-edge-colourable itself.  From size two on, the loop also uses class-2
-blocks: vertex-disjoint sides H of 1- and 2-edge cuts with s(H) > 0, each
-solved by the same loop.  A colouring of G whose delta edges are M restricts
-to a colouring of H whose delta edges are the edges of M inside H, so a
-matching whose complement colours has at least s(H) edges inside each
-block, and at least the sum of the blocks' s(H) in all.  The loop starts at
-that sum when it exceeds two and skips every matching short in some block:
-both skip only matchings that fail, so the first success, witness and all,
-stays the same.
+Witness contract of the exact solver, which works per connected component:
+for each size k the matchings come in lexicographic order of their sorted
+edge ids, and the first one whose complement is 3-edge-colourable wins.
+That complement is coloured by a backtrack that branches on the lowest-index
+uncoloured edge with the fewest free colours and tries alpha < beta < gamma.
+The backtrack also gives every edge left with a single free colour that
+colour before branching again; such forcing reaches one fixpoint (or one
+failure) in any order, so it prunes work without moving a branch point or
+changing the first colouring found.  At each branch point the backtrack also
+keeps only the lowest of the free colours that no coloured edge uses yet
+(free colours already in use are all kept): a dropped colour's subtree is
+the colour-swapped image of that lowest one's, which was tried first and
+failed, so it fails too and the first colouring found stays the same.  Each
+component starts at size m - 3 floor(n/2) when that is positive (the
+overfull bound: alpha, beta and gamma are matchings of at most floor(n/2)
+edges each).  On a cubic graph the size k=1 is skipped once k=0 has failed:
+by the parity lemma (Steffen, Measurements of edge-uncolorability of cubic
+graphs, J. Graph Theory 2004) a 3-edge-colouring of G - e leaves both ends
+of e missing the same colour, so G would be 3-edge-colourable itself.  From
+size two on, the loop also uses class-2 blocks: vertex-disjoint sides H of
+1- and 2-edge cuts with s(H) > 0 (at most half the component each, smallest
+first), each solved by the same loop.  A colouring of G whose delta edges
+are M restricts to a colouring of H whose delta edges are the edges of M
+inside H, so a matching whose complement colours has at least s(H) edges
+inside each block, and at least the sum of the blocks' s(H) in all.  The
+loop starts at that sum when it exceeds two and skips every matching short
+in some block: both skip only matchings that fail, so the first success,
+witness and all, stays the same.
 """
 
 from __future__ import annotations
@@ -372,28 +375,9 @@ def solve_exact(g: Graph) -> SolveResult:
     """Minimum delta count and a witness colouring, by exhaustive search.
 
     Works per connected component; the optimum is the sum of the components'
-    optima.  First witness in deterministic search order wins, so repeated
-    calls return identical colourings: the delta edges are the first
-    matching, in lexicographic order within each size, whose complement is
-    3-edge-colourable, and the rest is coloured by a most-constrained-edge
-    backtrack (lowest edge id on ties, alpha < beta < gamma).  Forcing edges
-    with one free colour does not change that first colouring, since the
-    forcing fixpoint does not depend on its order.  Nor does breaking the
-    alpha/beta/gamma symmetry: a branch point tries only the lowest of its
-    free colours that the partial colouring does not use yet, since each
-    other unused one would only repeat, colours swapped, a subtree that has
-    already failed.  Each component starts at size m - 3 floor(n/2) when
-    that is positive (the overfull bound: alpha, beta and gamma are
-    matchings of at most floor(n/2) edges each).  Cubic components skip
-    the size-one matchings after size zero fails, by the parity lemma
-    (Steffen, J. Graph Theory 2004): s(G) is never 1 on a cubic graph.
-    From size two on, the sides H of 1- and 2-edge cuts with s(H) > 0 (at
-    most half the component each, kept vertex-disjoint, smallest first)
-    bound the search: a witness restricted to H is a colouring of H with
-    its delta edges inside H, so at least s(H) of them lie there.  The
-    search starts at the sum of these s(H) and skips every matching with
-    fewer than s(H) edges inside some side.  Only failing matchings are
-    skipped, so the first success and its witness stay the same.
+    optima.  The first witness in a fixed search order wins, so repeated
+    calls return identical colourings.  That order, and why each bound and
+    pruning keeps it, is the witness contract in the module docstring.
     """
     comps = g.components()
     if len(comps) <= 1:

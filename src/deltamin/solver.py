@@ -1,14 +1,12 @@
-"""Heuristic minimisation of the delta colour class, and the oracles.
+"""Heuristic minimisation of the delta colour class.
 
 The heuristic is for graphs above the exact limit: a 2-factor search
 (find_two_factor, by Edmonds' blossom algorithm) gives cubic graphs the
 odd-cycle colouring of lemma1_colouring, anything else starts from a
 greedy colouring repaired by properize, and heuristic_descent improves the
 start by Kempe moves.  Its results are upper bounds, labelled as such.
-
-The oracles are exponential and serve as cross-checks only: resistance_exact
-recomputes s(G) by plain edge deletions, and enumerate_two_factors lists
-every 2-factor of a small cubic graph.
+The oracles that list every 2-factor or recompute s(G) are in
+deltamin.checks.
 
 The exact search is deltamin.exact, which solve runs without compiling this
 module; Method, SolveResult and solve_exact are imported here too.  The
@@ -19,8 +17,7 @@ looked up at call time, so that a tracer can swap them by name.
 from __future__ import annotations
 
 import random
-from itertools import combinations
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .colouring import (
     ColourTable,
@@ -29,12 +26,10 @@ from .colouring import (
     properize,
 )
 from .colours import CODES, ColouringKind, EdgeColouring
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError
 # solve_exact is unused here: bench/tracing.py looks up solver.solve_exact
-from .exact import Method, SolveResult, _three_edge_colouring, solve_exact  # noqa: F401
+from .exact import Method, SolveResult, solve_exact  # noqa: F401
 from .graphs import Graph
-
-_TWO_FACTOR_VERTEX_LIMIT = 16
 
 
 class TwoFactor(NamedTuple):
@@ -50,54 +45,7 @@ class TwoFactor(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# oracles
-
-
-def resistance_exact(g: Graph) -> int:
-    """Minimum number of edge deletions leaving a 3-edge-colourable graph.
-
-    Deliberately unconstrained (plain subsets, no matching requirement, no
-    candidate pruning) so it can serve as an independent cross-check of
-    solve_exact; the two agree on every graph of maximum degree three.  It
-    also keeps the k=1 level on cubic graphs, which solve_exact skips by the
-    parity lemma, so that the cross-check keeps testing that skip.
-    """
-    for k in range(g.edge_count + 1):
-        for subset in combinations(range(g.edge_count), k):
-            if _three_edge_colouring(g, frozenset(subset)) is not None:
-                return k
-    raise AssertionError("unreachable: the empty graph is 3-edge-colourable")
-
-
-# ---------------------------------------------------------------------------
 # 2-factors
-
-
-def _perfect_matchings(g: Graph) -> Iterator[frozenset[int]]:
-    """All perfect matchings, by backtracking on the lowest uncovered vertex.
-    Exponential; only enumerate_two_factors, guarded to small graphs, uses it."""
-    if g.vertex_count % 2:
-        return
-    covered = [False] * g.vertex_count
-    picked: list[int] = []
-
-    def grow() -> Iterator[frozenset[int]]:
-        v = next((u for u in range(g.vertex_count) if not covered[u]), None)
-        if v is None:
-            yield frozenset(picked)
-            return
-        covered[v] = True
-        for w, eid in g.adjacency[v]:
-            if covered[w]:
-                continue
-            covered[w] = True
-            picked.append(eid)
-            yield from grow()
-            picked.pop()
-            covered[w] = False
-        covered[v] = False
-
-    yield from grow()
 
 
 def _cycles_of_complement(g: Graph, matching: frozenset[int]) -> tuple[tuple[int, ...], ...]:
@@ -212,18 +160,18 @@ def find_two_factor(g: Graph) -> Optional[TwoFactor]:
     """Some 2-factor of a cubic graph, or None when no perfect matching
     exists.  Non-cubic input returns None.
 
-    The matching is the first one the backtracking _perfect_matchings
-    yields (lowest uncovered vertex v, its neighbours w in adjacency order),
-    found without backtracking.  A perfect matching of the uncovered
-    vertices is kept, first built by Edmonds' algorithm.  The backtracking
-    subtree under w holds a solution exactly when the uncovered vertices
-    minus {v, w} have a perfect matching, so the first w for which they do
-    is the one the backtracking commits to.  w = mate(v) always qualifies;
-    another w does when one blossom search joins mate(v) and mate(w), the
-    two vertices that dropping v and w leaves exposed.  O(n^3) in the worst
-    case (at most n searches for the first matching and two per vertex
-    after it, O(n^2) each), where the backtracking took exponential time on
-    flower snarks.
+    The matching is the first one the backtracking search
+    checks._perfect_matchings yields (lowest uncovered vertex v, its
+    neighbours w in adjacency order), found without backtracking.  A
+    perfect matching of the uncovered vertices is kept, first built by
+    Edmonds' algorithm.  The backtracking subtree under w holds a solution
+    exactly when the uncovered vertices minus {v, w} have a perfect
+    matching, so the first w for which they do is the one the backtracking
+    commits to.  w = mate(v) always qualifies; another w does when one
+    blossom search joins mate(v) and mate(w), the two vertices that
+    dropping v and w leaves exposed.  O(n^3) in the worst case (at most n
+    searches for the first matching and two per vertex after it, O(n^2)
+    each), where the backtracking takes exponential time on flower snarks.
     """
     if not g.is_cubic():
         return None
@@ -256,19 +204,6 @@ def find_two_factor(g: Graph) -> Optional[TwoFactor]:
         picked.append(eid)
     matching = frozenset(picked)
     return TwoFactor(g, _cycles_of_complement(g, matching), matching)
-
-
-def enumerate_two_factors(g: Graph) -> Iterator[TwoFactor]:
-    """All 2-factors of a cubic graph (one per complementary perfect
-    matching), in deterministic order."""
-    if not g.is_cubic():
-        raise DomainError("2-factors are only enumerated for cubic graphs")
-    if g.vertex_count > _TWO_FACTOR_VERTEX_LIMIT:
-        raise ResourceLimitError(
-            f"2-factor enumeration is limited to {_TWO_FACTOR_VERTEX_LIMIT} vertices"
-        )
-    for matching in _perfect_matchings(g):
-        yield TwoFactor(g, _cycles_of_complement(g, matching), matching)
 
 
 def lemma1_colouring(g: Graph, f: TwoFactor) -> EdgeColouring:

@@ -19,14 +19,15 @@ yet yielded, so the rows and results held at once do not grow with the
 input.  An idle worker is waiting on its task pipe, so a task write never
 waits on a worker that is busy writing results.  A worker leaves only
 through os._exit: with status 0 when its task pipe closes, with 1 at any
-exception.
+exception, which, unless it is an interrupt, it first names (type and
+message) on one line of standard error.
 
 A worker that dies before handing back its chunk stops the batch with a
 BatchError naming that chunk's graphs, once every earlier chunk has been
 yielded; a worker that cannot be forked stops it with one naming the
 worker.  However the batch ends (done, its reader gone, interrupted, a
-worker lost or not forked, its input failing), one finally closes every
-pipe, kills the workers still at work and reaps them all.
+worker lost or not forked, its input failing), one finally kills the
+workers still at work, closes every pipe and reaps every worker.
 """
 
 from __future__ import annotations
@@ -119,6 +120,10 @@ def _fork(run: Callable, pool: list[_Worker]) -> None:
                 os.close(fd)
             _serve(run, tasks_r, results_w)
             status = 0
+        except Exception as exc:
+            # the cause, on one line before the parent's line about the lost chunk
+            cause = " ".join(f"{type(exc).__name__}: {exc}".splitlines())
+            _write(2, f"deltamin worker: {cause}\n".encode(errors="backslashreplace"))
         finally:
             os._exit(status)
     os.close(tasks_r)
@@ -202,11 +207,13 @@ def fork_map(run: Callable, chunks: Iterable[list[tuple]], workers: int) -> Iter
             yielded += 1
             yield result
     finally:
+        # a busy worker is killed before its pipes close, so that it never
+        # sees them closed and reports that as its cause
         for w in pool:
-            os.close(w.tasks)  # an idle worker reads the end of its tasks and exits
-            os.close(w.results)
             if w.pid is not None and w.chunk is not None:
                 os.kill(w.pid, signal.SIGKILL)
         for w in pool:
+            os.close(w.tasks)  # an idle worker reads the end of its tasks and exits
+            os.close(w.results)
             if w.pid is not None:
                 os.waitpid(w.pid, 0)

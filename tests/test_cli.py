@@ -2,6 +2,7 @@
 
 import errno
 import io
+import itertools
 import json
 import os
 import random
@@ -29,7 +30,7 @@ from deltamin import (
     random_subcubic,
     solve_exact,
 )
-from deltamin import Graph, checks, cli, exact, generators, structure
+from deltamin import Graph, checks, cli, exact, generators, graphs, structure
 from deltamin.cli import main
 from deltamin.errors import BatchError
 
@@ -194,9 +195,15 @@ def _graph6_lines(draw):
     n = draw(st.integers(0, 10))
     degree = [0] * n
     edges = set()
-    for u, v in draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=20)):
+    vertex = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=20))
+    if draw(st.booleans()):
+        # then every pair in order that still fits: an odd n then often has
+        # more edges than three matchings hold, so s >= 1
+        pairs += itertools.combinations(range(n), 2)
+    for u, v in pairs:
         key = (min(u, v), max(u, v))
-        if u != v and key[1] < n and key not in edges and degree[u] < 3 and degree[v] < 3:
+        if u != v and key not in edges and degree[u] < 3 and degree[v] < 3:
             edges.add(key)
             degree[u] += 1
             degree[v] += 1
@@ -226,23 +233,77 @@ _drawn_inputs = st.lists(
 ).map(lambda pieces: b"".join(line + sep for line, sep in pieces))
 
 
+def brute_force_s(g):
+    """The fewest delta edges of a proper 4-edge-colouring, by a plain
+    depth-first search that gives each edge in turn every colour free at
+    both its ends (code 3 is delta), cut off once a branch has as many
+    delta edges as the best colouring found."""
+    used = [set() for _ in range(g.vertex_count)]
+    best = g.edge_count + 1
+
+    def colour(i, deltas):
+        nonlocal best
+        if deltas >= best:
+            return
+        if i == g.edge_count:
+            best = deltas
+            return
+        u, v = g.edges[i]
+        for c in set(range(4)) - used[u] - used[v]:
+            used[u].add(c)
+            used[v].add(c)
+            colour(i + 1, deltas + (c == 3))
+            used[u].discard(c)
+            used[v].discard(c)
+
+    colour(0, 0)
+    return best
+
+
+def _run_cli(*argv):
+    """(exit status, stdout, stderr) of the command in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-m", "deltamin", *argv], capture_output=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _run_at_any_jobs(*argv):
+    """(exit status, records, stderr) of the command, which must write the
+    same bytes and exit alike at --jobs 1 and --jobs 2."""
+    serial, forked = (_run_cli(*argv, "--jobs", jobs) for jobs in ("1", "2"))
+    assert forked == serial
+    status, out, err = serial
+    assert b"Traceback" not in err
+    return status, [json.loads(ln) for ln in out.splitlines()], err
+
+
+def _passes(rec):
+    return "error" not in rec and all(c["pass"] for c in rec.get("verification", rec)["clauses"])
+
+
 def check_one_record_per_line_at_any_jobs(tmp_path_factory, data):
-    path = tmp_path_factory.mktemp("drawn") / "in.g6"
-    path.write_bytes(data)
-    serial, forked = (
-        subprocess.run(
-            [sys.executable, "-m", "deltamin", "solve", str(path), "--jobs", jobs], capture_output=True, timeout=60
-        )
-        for jobs in ("1", "2")
-    )
-    assert (forked.returncode, forked.stdout, forked.stderr) == (serial.returncode, serial.stdout, serial.stderr)
-    recs = [json.loads(ln) for ln in serial.stdout.splitlines()]
-    assert [r["index"] for r in recs] == list(range(len(reference_lines(data))))
-    assert serial.returncode == (1 if any("error" in r for r in recs) else 0)
-    assert b"Traceback" not in serial.stderr
+    # solve, analyze, and verify of solve's witnesses: one record per line,
+    # the same bytes at --jobs 1 and 2, and s as the brute force finds it
+    tmp = tmp_path_factory.mktemp("drawn")
+    (tmp / "in.g6").write_bytes(data)
+    lines = reference_lines(data)
+    status, solved, _ = _run_at_any_jobs("solve", str(tmp / "in.g6"))
+    assert [r["index"] for r in solved] == list(range(len(lines)))
+    assert status == (1 if any("error" in r for r in solved) else 0)
+    for line, rec in zip(lines, solved):
+        if "error" not in rec and rec["n"] <= 8:
+            assert rec["s"] == brute_force_s(parse_graph6(line)), line
+    # a line solve refused gets a colouring line all the same, so that the
+    # lines stay aligned; verify refuses its graph first
+    (tmp / "colours.jsonl").write_text("".join(json.dumps({"colours": r.get("colours", [])}) + "\n" for r in solved))
+    for argv in (["analyze"], ["verify", "--colouring", str(tmp / "colours.jsonl")]):
+        status, recs, _ = _run_at_any_jobs(*argv, str(tmp / "in.g6"))
+        assert [r["index"] for r in recs] == list(range(len(lines)))
+        assert [_passes(r) for r in recs] == ["error" not in r for r in solved]
+        assert status == (0 if all(map(_passes, recs)) else 1)
 
 
-# each example runs solve twice in a fresh interpreter, about 0.3 s
+# each example runs solve, analyze and verify twice each in a fresh
+# interpreter, about 0.6 s
 @given(data=_drawn_inputs)
 @settings(max_examples=30, deadline=None)
 def test_drawn_input_gives_one_record_per_line_at_any_jobs(tmp_path_factory, data):
@@ -254,6 +315,52 @@ def test_drawn_input_gives_one_record_per_line_at_any_jobs(tmp_path_factory, dat
 @settings(max_examples=500, deadline=None)
 def test_drawn_input_gives_one_record_per_line_at_any_jobs_at_length(tmp_path_factory, data):
     check_one_record_per_line_at_any_jobs(tmp_path_factory, data)
+
+
+# a vertex label or count past the cap on what an edge list may hold (a
+# count under the cap but large would build the graph)
+_huge_labels = st.integers(graphs.EDGE_LIST_MAX_VERTICES + 1, 10**12)
+
+
+@st.composite
+def _edge_lists(draw):
+    """An edge-list file: lines of two small labels, perhaps a line of drawn
+    text and a line with a label past the cap, each at a drawn place, after
+    a header "n m" that counts the lines, or none."""
+    small = st.integers(0, 12)
+    lines = [f"{a} {b}" for a, b in draw(st.lists(st.tuples(small, small), max_size=8))]
+    for extra in (st.text(max_size=8), st.tuples(_huge_labels, small).map(lambda ab: f"{ab[0]} {ab[1]}")):
+        if draw(st.booleans()):
+            lines.insert(draw(st.integers(0, len(lines))), draw(extra))
+    if draw(st.booleans()):
+        lines.insert(0, f"{draw(st.one_of(small, _huge_labels))} {len(lines)}")
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def check_an_edge_list_gives_one_record(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("drawn") / "in.txt"
+    path.write_bytes(text.encode())
+    status, out, err = _run_cli("solve", str(path), "--format", "edgelist")
+    assert b"Traceback" not in err
+    (rec,) = [json.loads(ln) for ln in out.splitlines()]
+    assert rec["index"] == 0
+    assert status == (1 if "error" in rec else 0)
+    if "error" not in rec and rec["n"] <= 8:
+        assert rec["s"] == brute_force_s(graphs.parse_edge_list(text))
+
+
+# each example runs solve once in a fresh interpreter, about 0.1 s
+@given(text=_edge_lists())
+@settings(max_examples=30, deadline=None)
+def test_drawn_edge_list_gives_one_record(tmp_path_factory, text):
+    check_an_edge_list_gives_one_record(tmp_path_factory, text)
+
+
+@pytest.mark.slow
+@given(text=_edge_lists())
+@settings(max_examples=500, deadline=None)
+def test_drawn_edge_list_gives_one_record_at_length(tmp_path_factory, text):
+    check_an_edge_list_gives_one_record(tmp_path_factory, text)
 
 
 def _open_descriptors():
@@ -589,6 +696,14 @@ def test_solve_loads_the_heuristic_above_the_exact_limit(tmp_path):
     assert "deltamin.solver" in _modules_loaded_by(["solve", path, "--exact-limit", "8"])
 
 
+def test_analyze_on_the_heuristic_path_loads_no_checks(tmp_path):
+    # the oracles live with the checks, so the heuristic does not load them
+    path = write(tmp_path, "in.g6", PETERSEN_G6 + "\n")
+    loaded = _modules_loaded_by(["analyze", path, "--exact-limit", "8"])
+    assert "deltamin.solver" in loaded
+    assert not loaded & {"deltamin.checks", "deltamin.generators"}
+
+
 @pytest.mark.parametrize("argv", [["--named", "k4"], ["--cubic", "6"], ["--random", "8"]], ids=lambda a: a[0])
 def test_generate_loads_only_the_graph_codecs(argv):
     loaded = _modules_loaded_by(["generate", *argv])
@@ -856,12 +971,15 @@ def test_a_dying_worker_stops_the_batch_and_leaves_no_process(tmp_path):
 
 
 def test_an_unmarshallable_result_stops_the_batch_and_leaves_no_process(tmp_path):
-    # the worker holding graphs 4-5 cannot send their results and exits
-    # with status 1, so chunks 0 and 1 still come out
+    # the worker holding graphs 4-5 cannot send their results: it names
+    # the cause and exits with status 1, so chunks 0 and 1 still come out
     path = write(tmp_path, "in.g6", "C~\n" * 9)
     status, out, err = _run_in_own_group(_UNMARSHALLABLE_RESULT, "solve", path, "--jobs", "2")
     assert status == 2
-    assert err == "deltamin solve: the worker for graphs 4-5 exited with status 1 before returning them\n"
+    assert err == (
+        "deltamin worker: ValueError: unmarshallable object\n"
+        "deltamin solve: the worker for graphs 4-5 exited with status 1 before returning them\n"
+    )
     assert [json.loads(ln)["index"] for ln in out.splitlines()] == [0, 1, 2, 3]
 
 

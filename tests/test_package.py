@@ -55,7 +55,7 @@ def test_unknown_name_is_an_attribute_error(unresolved):
         exec("from deltamin import no_such_name", {})
 
 
-@pytest.mark.parametrize("name", ["colours", "exact", "generators", "graphs", "solver", "structure"])
+@pytest.mark.parametrize("name", ["checks", "colours", "exact", "generators", "graphs", "solver", "structure"])
 def test_submodules_resolve_by_name(unresolved, name):
     module = getattr(unresolved, name)
     assert isinstance(module, ModuleType)
